@@ -1,7 +1,17 @@
-"""Shared helpers for spark-submit job entry points."""
+"""Shared helpers for spark-submit job entry points.
+
+Importing this module puts ``<repo>/src`` on ``sys.path``, so every job
+(which imports it first) finds ``repro`` from any working directory.
+"""
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
 
 
 def job_args(description: str, needs_spark: bool = False):

@@ -5,29 +5,32 @@ Implements the paper's §3 algorithms over the Δ tree index (Definition 12):
 * **RAPQ** (:meth:`RAPQEngine.process`) — per-tuple traversal of the product
   graph, guided by the query DFA;
 * **Insert** (:meth:`RAPQEngine._insert`) — tree extension with timestamp
-  maintenance (iterative, not recursive, so deep paths cannot overflow the
-  Python stack);
+  maintenance, run best-first (a widest-path Dijkstra) so that each node is
+  settled at most once per tuple and tree;
 * **ExpiryRAPQ** (:meth:`RAPQEngine.expire`) — lazy window expiry at slide
   boundaries with subtree reconnection;
 * **Delete** (:meth:`RAPQEngine._delete`) — explicit deletions via negative
   tuples, reusing the expiry machinery (§3.2).
 
-Each tree node ``(v, s)`` stores the timestamp of a witnessing path from the
-root ``(x, s0)`` — the minimum edge timestamp along that path (Definition 9).
-Timestamps are lower bounds of the best witness (the paper refreshes lazily);
-``ExpiryRAPQ``'s reconnection pass is what makes this sound, and the
-differential tests verify the resulting invariant: after expiry at time τ the
-index derives exactly the batch result on the snapshot ``G_{W,τ}``.
+Each tree node ``(v, s)`` stores the timestamp of its best witnessing path
+from the root ``(x, s0)``: the maximum, over the paths in the window, of the
+minimum edge timestamp along the path (Definition 9, §3.1). Insert pops its
+worklist maximum-timestamp-first, so a node's first improvement in a tuple is
+already its best one; reconnection after expiry runs the same routine from
+every surviving in-edge at once. The differential tests verify the resulting
+invariant after every tuple: after expiry at time τ the index derives exactly
+the batch result on the snapshot ``G_{W,τ}``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable
 
 from ..rpq_oracle import Sgt
 from .dfa import DFA
-from .windows import WindowGraph
+from .windows import WindowGraph, check_tuple
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -35,7 +38,7 @@ NEG_INF = -math.inf
 Key = tuple[str, int]  # (vertex, automaton state)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     """A Δ-index tree node: vertex-state pair with parent pointer and ts."""
 
@@ -133,6 +136,7 @@ class RAPQEngine:
         self.results: dict[tuple[str, str], int] = {}  # pair -> first ts
         self.on_result = on_result
         self._last_boundary = NEG_INF
+        self._tau: float = NEG_INF  # timestamp of the previous tuple
         # metrics
         self.insert_calls = 0
         self.expiry_scans = 0
@@ -142,8 +146,13 @@ class RAPQEngine:
     # ------------------------------------------------------------------
 
     def process(self, sgt: Sgt) -> set[tuple[str, str]]:
-        """Consume one streaming graph tuple; returns newly reported pairs."""
-        tau = sgt.ts
+        """Consume one streaming graph tuple; returns newly reported pairs.
+
+        Raises ``ValueError`` on an unknown ``op`` or on a timestamp older
+        than the previous tuple's.
+        """
+        check_tuple(sgt, self._tau)
+        tau = self._tau = sgt.ts
         boundary = (tau // self.slide) * self.slide
         if boundary > self._last_boundary:
             self._last_boundary = boundary
@@ -168,16 +177,12 @@ class RAPQEngine:
         After ``expire(τ)`` this equals the batch result on ``G_{W,τ}`` —
         the invariant the differential tests check.
         """
-        out = set()
-        for x, tree in self.trees.items():
-            for key in tree.nodes:
-                # The root itself is never a result: results come from paths
-                # of length ≥ 1 (a cycle back to (x, s0) re-uses the root
-                # node, matching the paper's Insert, which only reports
-                # newly created nodes).
-                if key[1] in self.dfa.finals and key != tree.root_key:
-                    out.add((x, key[0]))
-        return out
+        return {
+            (x, v)
+            for x, tree in self.trees.items()
+            for v in tree.states_of
+            if self._derivable(x, v)
+        }
 
     # ------------------------------------------------------------------
     # metrics
@@ -208,77 +213,86 @@ class RAPQEngine:
         if label in self.dfa.start_labels and u not in self.trees:
             self.trees[u] = SpanningTree(u, self.dfa.start)
             self.vertex_trees.setdefault(u, set()).add(u)
+        trans = self.dfa.trans
         for x in list(self.vertex_trees.get(u, ())):
             tree = self.trees.get(x)
             if tree is None:
                 continue
-            for s in list(tree.states_of.get(u, ())):
-                t = self.dfa.delta(s, label)
+            nodes = tree.nodes
+            seeds = []
+            for s in tree.states_of.get(u, ()):
+                t = trans.get((s, label))
                 if t is None:
                     continue
-                parent = tree.nodes.get((u, s))
-                if parent is None:
-                    continue
-                cand = min(tau, parent.ts)
-                existing = tree.nodes.get((v, t))
+                cand = min(tau, nodes[(u, s)].ts)
+                existing = nodes.get((v, t))
                 if existing is None or existing.ts < cand:
-                    self._insert(tree, (u, s), (v, t), tau, results)
+                    seeds.append((cand, (u, s), (v, t)))
+            if seeds:
+                self._insert(tree, seeds, results)
         self._report(results, tau)
         return results
 
     # ------------------------------------------------------------------
-    # Algorithm Insert (iterative)
+    # Algorithm Insert (best-first)
     # ------------------------------------------------------------------
 
     def _insert(
         self,
         tree: SpanningTree,
-        parent_key: Key,
-        child_key: Key,
-        edge_ts: float,
+        seeds: list[tuple[float, Key, Key]],
         results: set[tuple[str, str]],
-        inserted: set[Key] | None = None,
-    ) -> set[Key]:
-        """Extend ``tree`` with ``child_key`` under ``parent_key``.
+    ) -> None:
+        """Extend ``tree`` from ``seeds``, each ``(ts, parent, child)``.
 
-        Iterative worklist version of the paper's recursive **Insert**; each
-        stack entry is ``(parent, child, edge_ts)``. A node is (re)linked only
-        when the candidate timestamp improves on its current one, which both
-        matches line 8's guard and guarantees termination.
+        The paper's recursive **Insert**, run as one best-first search: the
+        worklist is a max-heap on the candidate timestamp ``min(e.ts,
+        parent.ts)``, ties broken by push order. Every candidate pushed
+        while expanding a node is at most that node's timestamp, so pops come
+        in non-increasing order and a node's first creation or relink in a
+        call is its best one (a bottleneck Dijkstra, Pollack 1960). Later
+        entries for a settled node fail line 8's guard and are dropped. Each
+        new final-state node adds its pair to ``results``.
         """
-        if inserted is None:
-            inserted = set()
-        stack: list[tuple[Key, Key, float]] = [(parent_key, child_key, edge_ts)]
-        while stack:
-            pkey, ckey, ets = stack.pop()
-            self.insert_calls += 1
-            parent = tree.nodes.get(pkey)
-            if parent is None:
-                continue
-            cand = min(ets, parent.ts)
-            node = tree.nodes.get(ckey)
+        nodes = tree.nodes
+        trans = self.dfa.trans
+        finals = self.dfa.finals
+        out_adj = self.graph.out_adj
+        vertex_trees = self.vertex_trees
+        root = tree.root
+        heap = [(-cand, seq, pkey, ckey) for seq, (cand, pkey, ckey) in enumerate(seeds)]
+        heapify(heap)
+        seq = len(heap)
+        pops = 0
+        while heap:
+            neg, _, pkey, ckey = heappop(heap)
+            pops += 1
+            cand = -neg
+            node = nodes.get(ckey)
             if node is None:
                 node = tree.add(ckey, cand, pkey)
-                self.vertex_trees.setdefault(ckey[0], set()).add(tree.root)
-                inserted.add(ckey)
-                if ckey[1] in self.dfa.finals:
-                    results.add((tree.root, ckey[0]))
+                vertex_trees.setdefault(ckey[0], set()).add(root)
+                if ckey[1] in finals:
+                    results.add((root, ckey[0]))
             elif node.ts < cand:
                 tree.relink(node, pkey, cand)
-                inserted.add(ckey)
             else:
-                continue  # no improvement — do not expand
+                continue  # settled earlier in this call — do not expand
             # Expand along window out-edges of the child vertex (lines 7-11).
             cv, cs = ckey
-            for w, lbl, w_ts in self.graph.out_edges(cv):
-                q = self.dfa.delta(cs, lbl)
+            outs = out_adj.get(cv)
+            if not outs:
+                continue
+            for (w, lbl), w_ts in outs.items():
+                q = trans.get((cs, lbl))
                 if q is None:
                     continue
-                child_cand = min(node.ts, w_ts)
-                existing = tree.nodes.get((w, q))
+                child_cand = cand if cand < w_ts else w_ts
+                existing = nodes.get((w, q))
                 if existing is None or existing.ts < child_cand:
-                    stack.append((ckey, (w, q), w_ts))
-        return inserted
+                    seq += 1
+                    heappush(heap, (-child_cand, seq, ckey, (w, q)))
+        self.insert_calls += pops
 
     def _report(self, pairs: set[tuple[str, str]], tau: int) -> None:
         for pair in pairs:
@@ -295,49 +309,44 @@ class RAPQEngine:
         """Remove expired nodes, reconnecting subtrees through valid edges.
 
         Follows the paper's **ExpiryRAPQ** per tree: collect the potentially
-        expired set P, prune it, then try to re-``Insert`` each pruned node
-        from a still-valid parent over a still-valid window edge. Nodes that
-        cannot be reconnected are gone for good; with ``invalidate=True``
-        (the explicit-deletion path) their final-state members are returned
-        and reported as negative results.
+        expired set P, prune it, then re-``Insert`` the pruned nodes from
+        every still-valid parent over a still-valid window edge, all in one
+        best-first :meth:`_insert` call per tree, so reconnected nodes get
+        their best timestamps. Nodes that cannot be reconnected are gone for
+        good; with ``invalidate=True`` (the explicit-deletion path) their
+        final-state members are returned and reported as negative results.
         """
         self.graph.expire(int(tau) if tau != NEG_INF else 0)
         lo = tau - self.window
+        trans = self.dfa.trans
+        finals = self.dfa.finals
+        in_adj = self.graph.in_adj
         invalidated: set[tuple[str, str]] = set()
         for x in list(self.trees):
             tree = self.trees[x]
-            candidates = [
-                key
-                for key, node in tree.nodes.items()
-                if node.ts <= lo
-            ]
+            nodes = tree.nodes
+            candidates = [key for key, node in nodes.items() if node.ts <= lo]
             if not candidates:
                 continue
+            # Descendants of an expired node are expired too (child ts ≤
+            # parent ts), so every surviving node is a valid parent.
             for key in candidates:
-                if key in tree.nodes:  # parents may already be gone
-                    tree.remove(key)
-            reconnection_results: set[tuple[str, str]] = set()
+                tree.remove(key)
+            seeds = []
             for (v, t) in candidates:
                 self.expiry_scans += 1
-                if (v, t) in tree.nodes:
-                    continue  # reconnected while processing an earlier node
-                for uu, lbl, e_ts in self.graph.in_edges(v):
-                    if (v, t) in tree.nodes:
-                        break
-                    for s in list(tree.states_of.get(uu, ())):
-                        if self.dfa.delta(s, lbl) != t:
-                            continue
-                        pnode = tree.nodes.get((uu, s))
-                        if pnode is None or pnode.ts <= lo:
-                            continue
-                        self._insert(tree, (uu, s), (v, t), e_ts, reconnection_results)
-                        if (v, t) in tree.nodes:
-                            break
+                for (uu, lbl), e_ts in in_adj.get(v, {}).items():
+                    for s in tree.states_of.get(uu, ()):
+                        if trans.get((s, lbl)) == t:
+                            seeds.append((min(e_ts, nodes[(uu, s)].ts), (uu, s), (v, t)))
+            reconnection_results: set[tuple[str, str]] = set()
+            if seeds:
+                self._insert(tree, seeds, reconnection_results)
             # Maintain the reverse index and collect invalidations.
             for (v, t) in candidates:
-                if (v, t) in tree.nodes:
+                if (v, t) in nodes:
                     continue
-                if t in self.dfa.finals:
+                if t in finals:
                     invalidated.add((x, v))
                 if not tree.states_of.get(v):
                     roots = self.vertex_trees.get(v)
@@ -355,14 +364,28 @@ class RAPQEngine:
                     roots.discard(x)
                     if not roots:
                         del self.vertex_trees[x]
-        if invalidate and invalidated:
-            still_derivable = self.derivable_pairs()
+        if invalidate:
             for x, v in invalidated:
-                if (x, v) in self.results and (x, v) not in still_derivable:
+                if (x, v) in self.results and not self._derivable(x, v):
                     del self.results[(x, v)]
                     if self.on_result is not None:
                         self.on_result(int(tau), x, v, "-")
         return invalidated
+
+    def _derivable(self, x: str, v: str) -> bool:
+        """Is ``(x, v)`` witnessed by a final-state node other than the root?
+
+        The root itself is never a result: results come from paths of length
+        ≥ 1 (a cycle back to ``(x, s0)`` re-uses the root node, matching the
+        paper's Insert, which only reports newly created nodes).
+        """
+        tree = self.trees.get(x)
+        if tree is None:
+            return False
+        return any(
+            s in self.dfa.finals and (v, s) != tree.root_key
+            for s in tree.states_of.get(v, ())
+        )
 
     # ------------------------------------------------------------------
     # Algorithm Delete (§3.2)

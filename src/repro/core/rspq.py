@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 
 from ..rpq_oracle import Sgt
 from .dfa import DFA
-from .windows import WindowGraph
+from .windows import WindowGraph, check_tuple
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -203,10 +203,12 @@ class RSPQEngine:
         """Consume one sgt; returns newly reported pairs.
 
         Raises :class:`BudgetExceeded` when the per-tuple Extend budget is
-        exhausted (conflict-heavy executions; §4's NP-hard regime).
+        exhausted (conflict-heavy executions; §4's NP-hard regime), and
+        ``ValueError`` on an unknown ``op`` or on a timestamp older than the
+        previous tuple's.
         """
-        tau = sgt.ts
-        self._tau = tau
+        check_tuple(sgt, self._tau)
+        tau = self._tau = sgt.ts
         self._tuple_extend_calls = 0
         boundary = (tau // self.slide) * self.slide
         if boundary > self._last_boundary:

@@ -5,6 +5,10 @@ engines. An edge is identified by ``(u, v, label)``; re-arrival refreshes its
 timestamp (the window keeps the latest one). Expiry drops edges whose
 timestamp left the window interval; explicit deletion (§3.2) removes an edge
 immediately regardless of timestamp.
+
+Edges are kept in arrival order, so expiry stops at the first edge still in
+the window. This needs non-decreasing timestamps, which the engines enforce
+with :func:`check_tuple`.
 """
 from __future__ import annotations
 
@@ -13,18 +17,32 @@ from dataclasses import dataclass, field
 Edge = tuple[str, str, str]  # (src, dst, label)
 
 
+def check_tuple(sgt, last_ts: float) -> None:
+    """Reject a tuple with an unknown ``op`` or a timestamp before ``last_ts``."""
+    if sgt.op not in ("+", "-"):
+        raise ValueError(f"unknown op {sgt.op!r} in {sgt}; expected '+' or '-'")
+    if sgt.ts < last_ts:
+        raise ValueError(f"out-of-order tuple {sgt}: ts {sgt.ts} < previous ts {last_ts}")
+
+
 @dataclass
 class WindowGraph:
     """The window content as an adjacency-indexed edge set with timestamps."""
 
     window: int  # |W| in time units
 
-    edges: dict[Edge, int] = field(default_factory=dict)  # (u,v,label) -> ts
+    # (u,v,label) -> ts, in arrival order (hence in timestamp order)
+    edges: dict[Edge, int] = field(default_factory=dict)
     out_adj: dict[str, dict[tuple[str, str], int]] = field(default_factory=dict)
     in_adj: dict[str, dict[tuple[str, str], int]] = field(default_factory=dict)
 
     def insert(self, u: str, v: str, label: str, ts: int) -> None:
-        """Add or refresh edge ``(u, v, label)`` at time ``ts``."""
+        """Add or refresh edge ``(u, v, label)`` at time ``ts``.
+
+        ``ts`` must be at least that of every earlier insert. A refreshed
+        edge moves to the end of the arrival order.
+        """
+        self.edges.pop((u, v, label), None)
         self.edges[(u, v, label)] = ts
         self.out_adj.setdefault(u, {})[(v, label)] = ts
         self.in_adj.setdefault(v, {})[(u, label)] = ts
@@ -52,7 +70,11 @@ class WindowGraph:
     def expire(self, tau: int) -> list[Edge]:
         """Drop edges with ``ts ≤ τ − |W|``; returns the expired edges."""
         lo = tau - self.window
-        dead = [e for e, ts in self.edges.items() if ts <= lo]
+        dead = []
+        for e, ts in self.edges.items():
+            if ts > lo:
+                break  # every later edge arrived later
+            dead.append(e)
         for u, v, label in dead:
             del self.edges[(u, v, label)]
             self._drop_adj(u, v, label)

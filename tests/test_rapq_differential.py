@@ -3,14 +3,17 @@
 Random small streams are replayed with eager expiry (β=1). After every tuple
 the Δ index must derive exactly the batch result on the current snapshot
 (Lemma 1's invariants), and the final result set must equal the
-union-of-snapshots reference (Definition 9).
+union-of-snapshots reference (Definition 9). The per-step suites also
+check the index's structure after every tuple (:func:`check_index`),
+including under lazy expiry (β > 1).
 """
+import math
 import random
 
 import pytest
 
 from repro.core.dfa import compile_regex
-from repro.core.rapq import RAPQEngine
+from repro.core.rapq import RAPQEngine, SpanningTree
 from repro.core.regex import parse
 from repro.rpq_oracle import (
     Sgt,
@@ -58,12 +61,84 @@ def random_stream(seed, n=40, n_vertices=6, labels=("a", "b", "c"),
     return stream
 
 
-def replay_and_check(query_text, stream, window):
+def best_timestamps(edges, dfa, root):
+    """Brute-force max-min path timestamp of every product node from ``root``.
+
+    ``edges`` maps ``(u, v, label)`` to its timestamp; the root's is +∞.
+    """
+    best = {(root, dfa.start): math.inf}
+    changed = True
+    while changed:
+        changed = False
+        for (u, v, label), ts in edges.items():
+            for s in range(dfa.n_states):
+                if (u, s) not in best:
+                    continue
+                t = dfa.delta(s, label)
+                if t is None:
+                    continue
+                cand = min(best[(u, s)], ts)
+                if best.get((v, t), -math.inf) < cand:
+                    best[(v, t)] = cand
+                    changed = True
+    return best
+
+
+def check_index(engine):
+    """Assert the Δ index's structural invariants.
+
+    Each tree holds exactly the product nodes its root reaches in the window
+    graph, each with its best max-min path timestamp (§3.1). Every tree edge
+    is a live window edge that drives the DFA transition, parent and children
+    links are symmetric, a child's ts is at most its parent's, and
+    ``states_of`` / ``vertex_trees`` agree with the trees.
+    """
+    dfa, edges = engine.dfa, engine.graph.edges
+    for x, tree in engine.trees.items():
+        nodes = tree.nodes
+        assert tree.root == x and tree.root_key == (x, dfa.start)
+        root = nodes[tree.root_key]
+        assert root.parent is None and root.ts == math.inf
+        best = best_timestamps(edges, dfa, x)
+        assert set(nodes) == set(best), f"T_{x} differs from the nodes its root reaches"
+        for key, node in nodes.items():
+            assert node.key == key
+            for c in node.children:
+                assert nodes[c].parent == key, f"T_{x}: {c} listed under {key}"
+            assert node.ts == best[key], f"T_{x}: {key}.ts={node.ts}, best {best[key]}"
+            if key == tree.root_key:
+                continue
+            (pu, ps), (v, t) = node.parent, key
+            parent = nodes[node.parent]
+            assert key in parent.children
+            assert node.ts <= parent.ts
+            assert any(
+                dfa.delta(ps, lbl) == t and edges.get((pu, v, lbl), -math.inf) >= node.ts
+                for lbl in dfa.alphabet
+            ), f"T_{x}: tree edge {node.parent}->{key} is not a window edge"
+        states_of: dict = {}
+        for v, s in nodes:
+            states_of.setdefault(v, set()).add(s)
+        assert tree.states_of == states_of
+    vertex_trees: dict = {}
+    for x, tree in engine.trees.items():
+        for v in tree.states_of:
+            vertex_trees.setdefault(v, set()).add(x)
+    assert engine.vertex_trees == vertex_trees
+
+
+def replay_and_check(query_text, stream, window, every=5):
+    """Replay ``stream`` with β = 1, probing every ``every``-th tuple and at the end.
+
+    Per-step replays (``every=1``) also run :func:`check_index` each time.
+    """
     dfa = compile_regex(parse(query_text))
     engine = RAPQEngine(dfa, window=window, slide=1)
     for i, t in enumerate(stream):
         engine.process(t)
-        if i % 5 == 4 or i == len(stream) - 1:  # probe periodically + at end
+        if i % every == every - 1 or i == len(stream) - 1:
+            if every == 1:
+                check_index(engine)
             snap = snapshot_edges(stream[: i + 1], t.ts, window)
             expected = rapq_pairs(snap, dfa)
             got = engine.derivable_pairs()
@@ -131,3 +206,86 @@ def test_lazy_expiry_sandwich(slide, query):
     lower = streaming_reference(stream, dfa, window)
     upper = streaming_reference(stream, dfa, window + slide)
     assert lower <= set(engine.results) <= upper
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("seed", range(6))
+def test_append_only_per_step(query, seed):
+    """The append-only suite, checked after every tuple."""
+    stream = random_stream(seed, n=40)
+    window = [8, 15, 30][seed % 3]
+    replay_and_check(query, stream, window, every=1)
+
+
+@pytest.mark.parametrize("query", ["a*", "a b*", "(a|b|c)+", "a b c", "(a b)+"])
+@pytest.mark.parametrize("seed", range(8))
+def test_with_explicit_deletions_per_step(query, seed):
+    """The deletion suite, checked after every tuple."""
+    stream = random_stream(seed, n=50, delete_prob=0.25)
+    window = [10, 20][seed % 2]
+    replay_and_check(query, stream, window, every=1)
+
+
+@pytest.mark.parametrize("slide", [2, 5])
+@pytest.mark.parametrize("query", ["a b*", "(a|b|c)+", "(a b)+"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_expiry_per_step(slide, query, seed):
+    """β > 1: after every tuple the index is well formed and derives exactly
+    the pairs of its own window graph. That graph (query labels only) lies
+    between the eager snapshot and the one of the last boundary's window."""
+    window = 12
+    dfa = compile_regex(parse(query))
+    stream = random_stream(seed, n=60, delete_prob=0.15)
+    engine = RAPQEngine(dfa, window=window, slide=slide)
+    for i, t in enumerate(stream):
+        engine.process(t)
+        check_index(engine)
+        held = engine.graph.edge_set()
+        lag = t.ts - (t.ts // slide) * slide
+        eager, stale = (
+            {e for e in snapshot_edges(stream[: i + 1], t.ts, w) if e[2] in dfa.alphabet}
+            for w in (window, window + lag)
+        )
+        assert eager <= held <= stale
+        assert engine.derivable_pairs() == rapq_pairs(held, dfa)
+
+
+@pytest.mark.parametrize("first", ["a", "b"])
+@pytest.mark.parametrize("deleted", ["a", "b"])
+def test_parallel_edges_survive_each_others_deletion(first, deleted):
+    """(x,y,a) and (x,y,b) both match (a|b)+: deleting either keeps (x,y)."""
+    dfa = compile_regex(parse("(a|b)+"))
+    other = "b" if first == "a" else "a"
+    kept = "b" if deleted == "a" else "a"
+    events = []
+    engine = RAPQEngine(dfa, window=20, slide=1, on_result=lambda *e: events.append(e))
+    engine.process(Sgt(1, "x", "y", first))
+    engine.process(Sgt(2, "x", "y", other))
+    engine.process(Sgt(3, "x", "y", deleted, "-"))
+    check_index(engine)
+    assert engine.derivable_pairs() == {("x", "y")}
+    assert engine.graph.edge_set() == {("x", "y", kept)}
+    engine.process(Sgt(4, "x", "y", kept, "-"))
+    check_index(engine)
+    assert engine.derivable_pairs() == set()
+    assert events == [(1, "x", "y", "+"), (4, "x", "y", "-")]
+
+
+@pytest.mark.parametrize("query", ["a*", "(a|b|c)+", "(a b)+", "a b* c*"])
+@pytest.mark.parametrize("slide", [1, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_each_node_settled_once_per_tuple(monkeypatch, query, slide, seed):
+    """Best-first Insert relinks a (root, key) at most once per ``process()``."""
+    relinked = []
+    original = SpanningTree.relink
+
+    def spy(tree, node, new_parent, ts):
+        relinked.append((tree.root, node.key))
+        return original(tree, node, new_parent, ts)
+
+    monkeypatch.setattr(SpanningTree, "relink", spy)
+    engine = RAPQEngine(compile_regex(parse(query)), window=15, slide=slide)
+    for t in random_stream(seed, n=60, n_vertices=5, delete_prob=0.1):
+        relinked.clear()
+        engine.process(t)
+        assert len(relinked) == len(set(relinked)), f"relinked twice at {t}"

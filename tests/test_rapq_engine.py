@@ -199,6 +199,22 @@ class TestExplicitDeletions:
         assert e.derivable_pairs() == {("x", "y")}
 
 
+    def test_delete_invalidates_cycle_pair_when_root_is_final(self):
+        """(x, x) via a cycle ending in a final state other than the root's
+        dies with the cycle, although the root state itself is final."""
+        events = []
+        e = RAPQEngine(compile_regex(parse("a* b?")), window=100,
+                       on_result=lambda *ev: events.append(ev))
+        assert e.dfa.start in e.dfa.finals
+        e.process(Sgt(1, "x", "y", "a"))
+        e.process(Sgt(2, "y", "x", "b"))
+        assert ("x", "x") in e.derivable_pairs()
+        e.process(Sgt(3, "y", "x", "b", "-"))
+        assert ("x", "x") not in e.derivable_pairs()
+        assert ("x", "x") not in e.results
+        assert (3, "x", "x", "-") in events
+
+
 class TestMetrics:
     def test_counters_grow(self):
         e = engine_for("a*")
@@ -220,3 +236,27 @@ class TestMetrics:
             dense.process(t)
             sparse.process(t)
         assert dense.n_nodes >= sparse.n_nodes
+
+
+class TestMalformedInput:
+    def test_out_of_order_timestamp_rejected(self):
+        e = engine_for("a b")
+        e.process(Sgt(5, "x", "y", "a"))
+        e.process(Sgt(5, "y", "z", "b"))  # equal timestamps are in order
+        with pytest.raises(ValueError, match="out-of-order"):
+            e.process(Sgt(4, "z", "w", "a"))
+        with pytest.raises(ValueError, match="out-of-order"):
+            e.process(Sgt(4, "x", "y", "a", "-"))
+
+    def test_out_of_order_irrelevant_label_rejected(self):
+        e = engine_for("a")
+        e.process(Sgt(5, "x", "y", "zzz"))
+        with pytest.raises(ValueError, match="out-of-order"):
+            e.process(Sgt(4, "x", "y", "a"))
+
+    @pytest.mark.parametrize("op", ["*", "", "+-", "delete"])
+    def test_unknown_op_rejected(self, op):
+        e = engine_for("a")
+        with pytest.raises(ValueError, match="unknown op"):
+            e.process(Sgt(1, "x", "y", "a", op))
+        assert e.n_trees == 0 and e.graph.n_edges == 0

@@ -164,3 +164,21 @@ class TestExplicitDeletions:
         e.process(Sgt(4, "w", "z", "b"))
         e.process(Sgt(5, "x", "y", "a", "-"))
         assert ("x", "z") in e.derivable_pairs()
+
+
+class TestMalformedInput:
+    def test_out_of_order_timestamp_rejected(self):
+        e = engine_for("a b")
+        e.process(Sgt(5, "x", "y", "a"))
+        e.process(Sgt(5, "y", "z", "b"))  # equal timestamps are in order
+        with pytest.raises(ValueError, match="out-of-order"):
+            e.process(Sgt(4, "z", "w", "a"))
+        with pytest.raises(ValueError, match="out-of-order"):
+            e.process(Sgt(4, "x", "y", "a", "-"))
+
+    @pytest.mark.parametrize("op", ["*", "", "+-", "delete"])
+    def test_unknown_op_rejected(self, op):
+        e = engine_for("a")
+        with pytest.raises(ValueError, match="unknown op"):
+            e.process(Sgt(1, "x", "y", "a", op))
+        assert e.graph.n_edges == 0

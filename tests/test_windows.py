@@ -21,6 +21,13 @@ class TestInsert:
         assert g.edges[("a", "b", "l")] == 9
         assert g.n_edges == 1
 
+    def test_refresh_moves_edge_to_end_of_arrival_order(self):
+        g = make_graph()
+        g.insert("a", "b", "l", 1)
+        g.insert("b", "c", "l", 2)
+        g.insert("a", "b", "l", 3)
+        assert list(g.edges.items()) == [(("b", "c", "l"), 2), (("a", "b", "l"), 3)]
+
     def test_parallel_labels_are_distinct_edges(self):
         g = make_graph()
         g.insert("a", "b", "l1", 5)
@@ -48,6 +55,14 @@ class TestExpiry:
         g = make_graph(window=5)
         g.insert("a", "b", "l", 5)
         assert g.expire(10) == [("a", "b", "l")]
+
+    def test_refreshed_edge_outlives_later_arrival(self):
+        g = make_graph(window=5)
+        g.insert("a", "b", "l", 1)
+        g.insert("b", "c", "l", 2)
+        g.insert("a", "b", "l", 4)  # refresh: now newer than (b, c)
+        assert g.expire(7) == [("b", "c", "l")]
+        assert g.edge_set() == {("a", "b", "l")}
 
     def test_expire_keeps_fresh(self):
         g = make_graph(window=5)
