@@ -8,7 +8,9 @@ Implements the paper's §3 algorithms over the Δ tree index (Definition 12):
   maintenance, run best-first (a widest-path Dijkstra) so that each node is
   settled at most once per tuple and tree;
 * **ExpiryRAPQ** (:meth:`RAPQEngine.expire`) — lazy window expiry at slide
-  boundaries with subtree reconnection;
+  boundaries with subtree reconnection; a per-tree lower bound on node
+  timestamps (``SpanningTree.floor``) lets it skip trees with nothing to
+  expire;
 * **Delete** (:meth:`RAPQEngine._delete`) — explicit deletions via negative
   tuples, reusing the expiry machinery (§3.2).
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from ..rpq_oracle import Sgt
@@ -51,7 +54,7 @@ class _Node:
 class SpanningTree:
     """A spanning tree ``T_x`` rooted at ``(x, s0)`` (Definition 12)."""
 
-    __slots__ = ("root", "root_key", "nodes", "states_of")
+    __slots__ = ("root", "root_key", "nodes", "states_of", "floor")
 
     def __init__(self, root: str, start_state: int):
         self.root = root
@@ -61,8 +64,14 @@ class SpanningTree:
         }
         # vertex -> set of states it appears in (node-lookup index, §5.1.1)
         self.states_of: dict[str, set[int]] = {root: {start_state}}
+        # Lower bound on every node's ts: expiry skips the tree while it is
+        # above the window's lower edge. Relinks only raise ts, so only
+        # ``add`` and Delete's −∞ marking have to lower it.
+        self.floor: float = INF
 
     def add(self, key: Key, ts: float, parent: Key) -> _Node:
+        if ts < self.floor:
+            self.floor = ts
         node = _Node(key, ts, parent)
         self.nodes[key] = node
         self.nodes[parent].children.add(key)
@@ -309,12 +318,14 @@ class RAPQEngine:
         """Remove expired nodes, reconnecting subtrees through valid edges.
 
         Follows the paper's **ExpiryRAPQ** per tree: collect the potentially
-        expired set P, prune it, then re-``Insert`` the pruned nodes from
-        every still-valid parent over a still-valid window edge, all in one
-        best-first :meth:`_insert` call per tree, so reconnected nodes get
-        their best timestamps. Nodes that cannot be reconnected are gone for
-        good; with ``invalidate=True`` (the explicit-deletion path) their
-        final-state members are returned and reported as negative results.
+        expired set P (nodes with ``ts ≤ τ − |W|``; a tree whose ``floor``
+        lies above that bound has none and is not scanned), prune it, then
+        re-``Insert`` the pruned nodes from every still-valid parent over a
+        still-valid window edge, all in one best-first :meth:`_insert` call
+        per tree, so reconnected nodes get their best timestamps. Nodes that
+        cannot be reconnected are gone for good; with ``invalidate=True``
+        (the explicit-deletion path) their final-state members are returned
+        and reported as negative results.
         """
         self.graph.expire(int(tau) if tau != NEG_INF else 0)
         lo = tau - self.window
@@ -324,9 +335,14 @@ class RAPQEngine:
         invalidated: set[tuple[str, str]] = set()
         for x in list(self.trees):
             tree = self.trees[x]
+            if tree.floor > lo:
+                continue
             nodes = tree.nodes
             candidates = [key for key, node in nodes.items() if node.ts <= lo]
             if not candidates:
+                # Tighten the bound only after an empty scan: after one that
+                # expired nodes, the old floor is still ≤ lo and still valid.
+                tree.floor = min(map(attrgetter("ts"), nodes.values()))
                 continue
             # Descendants of an expired node are expired too (child ts ≤
             # parent ts), so every surviving node is a valid parent.
@@ -414,6 +430,7 @@ class RAPQEngine:
                 if pu == u and self.dfa.delta(ps, label) == t:
                     for key in tree.subtree_keys((v, t)):
                         tree.nodes[key].ts = NEG_INF
+                    tree.floor = NEG_INF
                     touched = True
         if not touched:
             return set()

@@ -10,6 +10,7 @@ the default test-sized ones.
 """
 from __future__ import annotations
 
+import math
 import time
 
 from ..core.queries import Query, make_query, workload
@@ -209,11 +210,14 @@ def _measure_with_expiry_share(q: Query, stream, window: int, beta: int) -> dict
     expiry_time = 0.0
     n_expiries = 0
     lat: list[float] = []
+    last_boundary = -math.inf  # same test as RAPQEngine.process
     t_start = time.perf_counter()
     for sgt in stream:
         s0 = time.perf_counter()
         boundary = (sgt.ts // beta) * beta
-        will_expire = boundary > engine._last_boundary
+        will_expire = boundary > last_boundary
+        if will_expire:
+            last_boundary = boundary
         engine.process(sgt)
         dt = time.perf_counter() - s0
         if will_expire:

@@ -8,7 +8,6 @@ check the index's structure after every tuple (:func:`check_index`),
 including under lazy expiry (β > 1).
 """
 import math
-import random
 
 import pytest
 
@@ -21,6 +20,8 @@ from repro.rpq_oracle import (
     snapshot_edges,
     streaming_reference,
 )
+
+from .streams import random_stream
 
 QUERIES = [
     "a*",
@@ -36,29 +37,6 @@ QUERIES = [
     "a b c",
     "(a b)+",
 ]
-
-
-def random_stream(seed, n=40, n_vertices=6, labels=("a", "b", "c"),
-                  max_gap=3, delete_prob=0.0):
-    """A random small stream with non-decreasing integer timestamps."""
-    rng = random.Random(seed)
-    verts = [f"v{i}" for i in range(n_vertices)]
-    ts = 0
-    stream = []
-    live = []
-    for _ in range(n):
-        ts += rng.randint(0, max_gap)
-        if live and rng.random() < delete_prob:
-            u, v, lbl = rng.choice(live)
-            stream.append(Sgt(ts, u, v, lbl, "-"))
-            live.remove((u, v, lbl))
-        else:
-            u, v = rng.choice(verts), rng.choice(verts)
-            lbl = rng.choice(labels)
-            stream.append(Sgt(ts, u, v, lbl))
-            if (u, v, lbl) not in live:
-                live.append((u, v, lbl))
-    return stream
 
 
 def best_timestamps(edges, dfa, root):
@@ -90,8 +68,9 @@ def check_index(engine):
     Each tree holds exactly the product nodes its root reaches in the window
     graph, each with its best max-min path timestamp (§3.1). Every tree edge
     is a live window edge that drives the DFA transition, parent and children
-    links are symmetric, a child's ts is at most its parent's, and
-    ``states_of`` / ``vertex_trees`` agree with the trees.
+    links are symmetric, a child's ts is at most its parent's,
+    ``states_of`` / ``vertex_trees`` agree with the trees, and each tree's
+    ``floor`` is a lower bound on its nodes' ts.
     """
     dfa, edges = engine.dfa, engine.graph.edges
     for x, tree in engine.trees.items():
@@ -99,6 +78,7 @@ def check_index(engine):
         assert tree.root == x and tree.root_key == (x, dfa.start)
         root = nodes[tree.root_key]
         assert root.parent is None and root.ts == math.inf
+        assert tree.floor <= min(node.ts for node in nodes.values()), f"T_{x}: floor too high"
         best = best_timestamps(edges, dfa, x)
         assert set(nodes) == set(best), f"T_{x} differs from the nodes its root reaches"
         for key, node in nodes.items():
@@ -289,3 +269,57 @@ def test_each_node_settled_once_per_tuple(monkeypatch, query, slide, seed):
         relinked.clear()
         engine.process(t)
         assert len(relinked) == len(set(relinked)), f"relinked twice at {t}"
+
+
+class _UnscannableNodes(dict):
+    """A tree's node dict that fails the test if expiry scans it."""
+
+    def items(self):
+        raise AssertionError("expiry scanned a tree whose floor is above lo")
+
+    values = items
+
+
+def test_expiry_skips_trees_above_the_floor():
+    """Only the tree holding old nodes is scanned; the fresh one is skipped."""
+    dfa = compile_regex(parse("a+"))
+    engine = RAPQEngine(dfa, window=10, slide=1)
+    engine.process(Sgt(1, "x", "y", "a"))
+    engine.process(Sgt(5, "p", "q", "a"))
+    fresh = engine.trees["p"]
+    assert fresh.floor == 5
+    fresh.nodes = _UnscannableNodes(fresh.nodes)
+    engine.expire(12)  # lo = 2: only T_x has nodes at or below it
+    assert "x" not in engine.trees
+    assert engine.trees["p"] is fresh and set(fresh.nodes) == {
+        ("p", dfa.start), ("q", dfa.delta(dfa.start, "a"))
+    }
+
+
+def test_deletion_rescans_tree_above_the_floor():
+    """β = 5: a deleted tree edge forces a rescan of a tree whose floor is
+    above lo; the marked subtree is first reconnected, then dropped."""
+    dfa = compile_regex(parse("a+"))
+    s = dfa.delta(dfa.start, "a")
+    events = []
+    engine = RAPQEngine(dfa, window=20, slide=5, on_result=lambda *e: events.append(e))
+    for t in [Sgt(1, "x", "u", "a"), Sgt(1, "u", "y", "a"),
+              Sgt(2, "y", "z", "a"), Sgt(3, "x", "y", "a")]:
+        engine.process(t)
+    tree = engine.trees["x"]
+    assert tree.nodes[("y", s)].parent == ("x", dfa.start)
+    assert tree.nodes[("z", s)].ts == 2
+    assert tree.floor == 1 > 4 - engine.window
+    engine.process(Sgt(4, "x", "y", "a", "-"))  # y and z reconnect through u
+    check_index(engine)
+    assert tree.nodes[("y", s)].parent == ("u", s)
+    assert tree.nodes[("z", s)].ts == 1
+    engine.process(Sgt(5, "x", "v", "b"))  # boundary: an empty scan tightens the floor
+    assert tree.floor == 1 > 5 - engine.window
+    engine.process(Sgt(6, "u", "y", "a", "-"))  # now y and z are unreachable
+    check_index(engine)
+    assert set(tree.nodes) == {("x", dfa.start), ("u", s)}
+    assert {p for p in engine.derivable_pairs() if p[0] == "x"} == {("x", "u")}
+    assert sorted(e for e in events if e[1] == "x" and e[3] == "-") == [
+        (6, "x", "y", "-"), (6, "x", "z", "-")
+    ]

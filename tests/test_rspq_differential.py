@@ -19,6 +19,8 @@ from repro.rpq_oracle import (
     streaming_reference,
 )
 
+from .streams import random_stream
+
 QUERIES = [
     "a*",
     "a b*",
@@ -30,27 +32,6 @@ QUERIES = [
     "(a b)+",  # lacks the containment property → conflicts on cyclic graphs
     "a* b*",   # likewise
 ]
-
-
-def random_stream(seed, n=35, n_vertices=5, labels=("a", "b", "c"),
-                  max_gap=3, delete_prob=0.0):
-    rng = random.Random(seed * 7919 + 13)
-    verts = [f"v{i}" for i in range(n_vertices)]
-    ts = 0
-    stream, live = [], []
-    for _ in range(n):
-        ts += rng.randint(0, max_gap)
-        if live and rng.random() < delete_prob:
-            u, v, lbl = rng.choice(live)
-            stream.append(Sgt(ts, u, v, lbl, "-"))
-            live.remove((u, v, lbl))
-        else:
-            u, v = rng.choice(verts), rng.choice(verts)
-            lbl = rng.choice(labels)
-            stream.append(Sgt(ts, u, v, lbl))
-            if (u, v, lbl) not in live:
-                live.append((u, v, lbl))
-    return stream
 
 
 def replay_and_check(query_text, stream, window, probe_every=4):
@@ -72,7 +53,7 @@ def replay_and_check(query_text, stream, window, probe_every=4):
 @pytest.mark.parametrize("query", QUERIES)
 @pytest.mark.parametrize("seed", range(5))
 def test_append_only_invariant_and_final_results(query, seed):
-    stream = random_stream(seed, n=35)
+    stream = random_stream(seed * 7919 + 13, n=35, n_vertices=5)
     window = [8, 15, 30][seed % 3]
     engine = replay_and_check(query, stream, window)
     expected_final = streaming_reference(stream, engine.dfa, window, simple=True)
@@ -82,7 +63,7 @@ def test_append_only_invariant_and_final_results(query, seed):
 @pytest.mark.parametrize("query", ["a*", "(a|b|c)+", "(a b)+", "a b c"])
 @pytest.mark.parametrize("seed", range(6))
 def test_with_explicit_deletions_invariant(query, seed):
-    stream = random_stream(seed + 100, n=40, delete_prob=0.25)
+    stream = random_stream((seed + 100) * 7919 + 13, n=40, n_vertices=5, delete_prob=0.25)
     window = [10, 20][seed % 2]
     replay_and_check(query, stream, window)
 
@@ -90,7 +71,7 @@ def test_with_explicit_deletions_invariant(query, seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_conflict_heavy_dense_cycles(seed):
     """(a b)+ on a dense 4-vertex two-label graph exercises Unmark heavily."""
-    stream = random_stream(seed + 50, n=45, n_vertices=4, labels=("a", "b"))
+    stream = random_stream((seed + 50) * 7919 + 13, n=45, n_vertices=4, labels=("a", "b"))
     engine = replay_and_check("(a b)+", stream, window=12, probe_every=3)
     # Sanity: this regime does produce conflicts.
     assert engine.extend_calls > 0
@@ -99,7 +80,7 @@ def test_conflict_heavy_dense_cycles(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_single_label_clique(seed):
     """a+ on a tiny dense single-label graph: maximal cyclicity."""
-    stream = random_stream(seed + 200, n=40, n_vertices=4, labels=("a",))
+    stream = random_stream((seed + 200) * 7919 + 13, n=40, n_vertices=4, labels=("a",))
     replay_and_check("a+", stream, window=10, probe_every=3)
 
 
