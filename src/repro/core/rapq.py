@@ -9,7 +9,8 @@ Implements the paper's §3 algorithms over the Δ tree index (Definition 12):
   settled at most once per tuple and tree;
 * **ExpiryRAPQ** (:meth:`RAPQEngine.expire`) — lazy window expiry at slide
   boundaries with subtree reconnection; a per-tree lower bound on node
-  timestamps (``SpanningTree.floor``) lets it skip trees with nothing to
+  timestamps (``SpanningTree.floor``), kept in a min-heap of ``(floor,
+  root)`` entries, lets it visit only the trees that may have something to
   expire;
 * **Delete** (:meth:`RAPQEngine._delete`) — explicit deletions via negative
   tuples, reusing the expiry machinery (§3.2).
@@ -143,6 +144,10 @@ class RAPQEngine:
         # vertex -> roots of trees containing it in some state
         self.vertex_trees: dict[str, set[str]] = {}
         self.results: dict[tuple[str, str], int] = {}  # pair -> first ts
+        # Min-heap of (floor, root). Every tree with a finite floor has an
+        # entry at or below it. Entries for an older floor or a GC'd tree are
+        # stale: expire scans a popped root only if its current floor is due.
+        self._floors: list[tuple[float, str]] = []
         self.on_result = on_result
         self._last_boundary = NEG_INF
         self._tau: float = NEG_INF  # timestamp of the previous tuple
@@ -269,6 +274,7 @@ class RAPQEngine:
         out_adj = self.graph.out_adj
         vertex_trees = self.vertex_trees
         root = tree.root
+        floor = tree.floor
         heap = [(-cand, seq, pkey, ckey) for seq, (cand, pkey, ckey) in enumerate(seeds)]
         heapify(heap)
         seq = len(heap)
@@ -302,6 +308,8 @@ class RAPQEngine:
                     seq += 1
                     heappush(heap, (-child_cand, seq, ckey, (w, q)))
         self.insert_calls += pops
+        if tree.floor < floor:
+            heappush(self._floors, (tree.floor, root))
 
     def _report(self, pairs: set[tuple[str, str]], tau: int) -> None:
         for pair in pairs:
@@ -319,7 +327,8 @@ class RAPQEngine:
 
         Follows the paper's **ExpiryRAPQ** per tree: collect the potentially
         expired set P (nodes with ``ts ≤ τ − |W|``; a tree whose ``floor``
-        lies above that bound has none and is not scanned), prune it, then
+        lies above that bound has none and is not visited, because only the
+        trees whose floor-heap entries are due get popped), prune it, then
         re-``Insert`` the pruned nodes from every still-valid parent over a
         still-valid window edge, all in one best-first :meth:`_insert` call
         per tree, so reconnected nodes get their best timestamps. Nodes that
@@ -333,16 +342,23 @@ class RAPQEngine:
         finals = self.dfa.finals
         in_adj = self.graph.in_adj
         invalidated: set[tuple[str, str]] = set()
-        for x in list(self.trees):
-            tree = self.trees[x]
-            if tree.floor > lo:
-                continue
+        floors = self._floors
+        due = []
+        while floors and floors[0][0] <= lo:
+            due.append(heappop(floors)[1])
+        # Every tree with floor ≤ lo had an entry ≤ lo, so all were popped;
+        # dict.fromkeys drops duplicates and keeps pop order.
+        for x in dict.fromkeys(due):
+            tree = self.trees.get(x)
+            if tree is None or tree.floor > lo:
+                continue  # stale entry
             nodes = tree.nodes
             candidates = [key for key, node in nodes.items() if node.ts <= lo]
             if not candidates:
                 # Tighten the bound only after an empty scan: after one that
                 # expired nodes, the old floor is still ≤ lo and still valid.
                 tree.floor = min(map(attrgetter("ts"), nodes.values()))
+                heappush(floors, (tree.floor, x))
                 continue
             # Descendants of an expired node are expired too (child ts ≤
             # parent ts), so every surviving node is a valid parent.
@@ -380,6 +396,8 @@ class RAPQEngine:
                     roots.discard(x)
                     if not roots:
                         del self.vertex_trees[x]
+            else:  # floor unchanged and ≤ lo: due again at the next boundary
+                heappush(floors, (tree.floor, x))
         if invalidate:
             for x, v in invalidated:
                 if (x, v) in self.results and not self._derivable(x, v):
@@ -431,6 +449,7 @@ class RAPQEngine:
                     for key in tree.subtree_keys((v, t)):
                         tree.nodes[key].ts = NEG_INF
                     tree.floor = NEG_INF
+                    heappush(self._floors, (NEG_INF, x))
                     touched = True
         if not touched:
             return set()

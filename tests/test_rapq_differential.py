@@ -69,16 +69,22 @@ def check_index(engine):
     graph, each with its best max-min path timestamp (§3.1). Every tree edge
     is a live window edge that drives the DFA transition, parent and children
     links are symmetric, a child's ts is at most its parent's,
-    ``states_of`` / ``vertex_trees`` agree with the trees, and each tree's
-    ``floor`` is a lower bound on its nodes' ts.
+    ``states_of`` / ``vertex_trees`` agree with the trees, each tree's
+    ``floor`` is a lower bound on its nodes' ts, and each finite floor has a
+    floor-heap entry at or below it.
     """
     dfa, edges = engine.dfa, engine.graph.edges
+    lowest_entry: dict = {}
+    for f, x in engine._floors:
+        lowest_entry[x] = min(f, lowest_entry.get(x, math.inf))
     for x, tree in engine.trees.items():
         nodes = tree.nodes
         assert tree.root == x and tree.root_key == (x, dfa.start)
         root = nodes[tree.root_key]
         assert root.parent is None and root.ts == math.inf
         assert tree.floor <= min(node.ts for node in nodes.values()), f"T_{x}: floor too high"
+        if tree.floor < math.inf:
+            assert lowest_entry.get(x, math.inf) <= tree.floor, f"T_{x}: no heap entry for its floor"
         best = best_timestamps(edges, dfa, x)
         assert set(nodes) == set(best), f"T_{x} differs from the nodes its root reaches"
         for key, node in nodes.items():
@@ -323,3 +329,109 @@ def test_deletion_rescans_tree_above_the_floor():
     assert sorted(e for e in events if e[1] == "x" and e[3] == "-") == [
         (6, "x", "y", "-"), (6, "x", "z", "-")
     ]
+
+
+class _UniterableTrees(dict):
+    """An engine's tree map that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("expiry iterated every tree")
+
+    keys = values = items = __iter__
+
+
+def test_boundary_with_no_due_tree_does_not_iterate_trees():
+    dfa = compile_regex(parse("a+"))
+    engine = RAPQEngine(dfa, window=10, slide=1)
+    engine.process(Sgt(1, "x", "y", "a"))
+    engine.process(Sgt(2, "p", "q", "a"))
+    engine.trees = _UniterableTrees(engine.trees)
+    engine.process(Sgt(5, "y", "z", "b"))  # boundary, lo = -5: no tree is due
+    engine.expire(11)  # lo = 1: only T_x is due, reached without a sweep
+    assert set(dict.keys(engine.trees)) == {"p"}
+
+
+class _ScanLog(dict):
+    """A tree's node dict that logs its root whenever expiry scans it."""
+
+    def __init__(self, nodes, log, root):
+        super().__init__(nodes)
+        self.log, self.root = log, root
+
+    def items(self):
+        self.log.append(self.root)
+        return super().items()
+
+
+def replay_checking_scans(monkeypatch, query, window, slide, stream):
+    """Replay ``stream``; every ``expire`` call must scan each tree whose
+    floor is ≤ τ − |W| exactly once, and no other tree."""
+    scans: list = []
+    original_init = SpanningTree.__init__
+
+    def init(tree, root, start_state):
+        original_init(tree, root, start_state)
+        tree.nodes = _ScanLog(tree.nodes, scans, root)
+
+    monkeypatch.setattr(SpanningTree, "__init__", init)
+    engine = RAPQEngine(compile_regex(parse(query)), window=window, slide=slide)
+    original_expire = engine.expire
+    calls = []
+
+    def expire(tau, invalidate=False):
+        lo = tau - engine.window
+        due = sorted(x for x, tree in engine.trees.items() if tree.floor <= lo)
+        scans.clear()
+        result = original_expire(tau, invalidate)
+        assert sorted(scans) == due, f"expire({tau}) scanned {sorted(scans)}, due {due}"
+        calls.append((tau, due))
+        return result
+
+    engine.expire = expire
+    for t in stream:
+        engine.process(t)
+        check_index(engine)
+    return engine, calls
+
+
+def test_stale_entry_of_gc_tree_recreated_under_same_root(monkeypatch):
+    """T_x is GC'd by a deletion, leaving its old (3, x) entry, and re-created
+    with floor 2; T_x is then scanned once per boundary where it is due."""
+    engine, calls = replay_checking_scans(monkeypatch, "a+", 10, 1, [
+        Sgt(2, "w", "v", "a"),
+        Sgt(3, "x", "y", "a"),
+        Sgt(4, "x", "y", "a", "-"),  # T_x pruned to a bare root and GC'd
+        Sgt(5, "x", "w", "a"),  # T_x again: w at 5, v at min(2, 5)
+        Sgt(12, "t", "t", "b"),  # lo = 2: v expires from T_w and T_x
+        Sgt(13, "t", "t", "b"),  # lo = 3: (2, x) and stale (3, x) pop together
+        Sgt(14, "t", "t", "b"),  # lo = 4: nothing due
+        Sgt(15, "t", "t", "b"),  # lo = 5: w expires, T_x GC'd again
+    ])
+    assert [due for tau, due in calls if tau >= 12] == [["w", "x"], ["x"], [], ["x"]]
+    assert engine.trees == {}
+
+
+def test_stale_entry_after_tightening_then_lowering(monkeypatch):
+    """T_x's floor is tightened by an empty scan, then lowered by a new node
+    with an old timestamp; the higher entry left behind is stale."""
+    engine, calls = replay_checking_scans(monkeypatch, "a+", 10, 1, [
+        Sgt(1, "x", "u", "a"),
+        Sgt(3, "p", "q", "a"),
+        Sgt(4, "x", "u", "a"),  # u relinked at 4; floor stays 1
+        Sgt(11, "t", "t", "b"),  # lo = 1: empty scan tightens the floor to 4
+        Sgt(11, "x", "p", "a"),  # p at 11, q at min(3, 11): floor back to 3
+        Sgt(13, "t", "t", "b"),  # lo = 3: q expires from T_x and T_p
+        Sgt(14, "t", "t", "b"),  # lo = 4: u expires; the (4, x) entry is due
+        Sgt(15, "t", "t", "b"),  # lo = 5: T_x's floor is still 3, so due
+        Sgt(16, "t", "t", "b"),  # lo = 6: floor now 11, not due
+    ])
+    assert [due for tau, due in calls if tau >= 11] == [["x"], ["p", "x"], ["x"], ["x"], []]
+    dfa = engine.dfa
+    assert set(engine.trees["x"].nodes) == {("x", dfa.start), ("p", dfa.delta(dfa.start, "a"))}
+
+
+@pytest.mark.parametrize("slide", [1, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_expiry_scans_exactly_the_due_trees(monkeypatch, slide, seed):
+    replay_checking_scans(monkeypatch, "(a|b|c)+", 12, slide,
+                          random_stream(seed, n=80, n_vertices=6, delete_prob=0.15))

@@ -1,58 +1,37 @@
-"""Provided-scaffolding integration: synth_data generators + DuckDB oracle."""
+"""The DuckDB oracle (``repro.oracle.assert_equivalent``) on a tiny edge table."""
 import pytest
-
-from repro import synth_data
-from repro.oracle import assert_equivalent
 from pyspark.sql import functions as F
 
+from repro.oracle import assert_equivalent
 
-class TestSynthData:
-    def test_lineitem_shape(self, spark):
-        df = synth_data.lineitem(spark, sf=0.001)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns
+EDGES = [
+    ("v1", "v2", "a", 1),
+    ("v2", "v3", "b", 2),
+    ("v1", "v3", "a", 3),
+    ("v3", "v1", "c", 4),
+    ("v2", "v2", "a", 5),
+]
 
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.2)
-        top = (
-            df.groupBy("k").count().orderBy(F.desc("count")).limit(1).collect()
-        )
-        # Zipf: the hottest key holds far more than the uniform share (50).
-        assert top[0]["count"] > 150
+PER_LABEL_SQL = (
+    "SELECT label, COUNT(*) AS n, MAX(ts) AS last_ts FROM edges GROUP BY label"
+)
 
-    def test_uniform_keys_range(self, spark):
-        df = synth_data.uniform_keys(spark, n=1000, n_keys=10)
-        ks = {r["k"] for r in df.select("k").distinct().collect()}
-        assert ks <= set(range(1, 11))
 
-    def test_determinism(self, spark):
-        a = synth_data.orders(spark, sf=0.001, seed=1).toPandas()
-        b = synth_data.orders(spark, sf=0.001, seed=1).toPandas()
-        assert a.equals(b)
+@pytest.fixture
+def edges(spark):
+    return spark.createDataFrame(EDGES, "src string, dst string, label string, ts long")
 
 
 class TestOracle:
-    def test_assert_equivalent_on_aggregate(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.sum("l_quantity").alias("sum_qty")
+    def test_assert_equivalent_on_aggregate(self, edges):
+        got = edges.groupBy("label").agg(
+            F.count("*").alias("n"), F.max("ts").alias("last_ts")
         )
-        assert_equivalent(
-            got,
-            "SELECT l_returnflag, SUM(l_quantity) AS sum_qty "
-            "FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(got, PER_LABEL_SQL, edges=edges)
 
-    def test_assert_equivalent_catches_wrong_result(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        wrong = li.groupBy("l_returnflag").agg(
-            (F.sum("l_quantity") + 1).alias("sum_qty")
+    def test_assert_equivalent_catches_wrong_result(self, edges):
+        wrong = edges.groupBy("label").agg(
+            (F.count("*") + 1).alias("n"), F.max("ts").alias("last_ts")
         )
         with pytest.raises(AssertionError):
-            assert_equivalent(
-                wrong,
-                "SELECT l_returnflag, SUM(l_quantity) AS sum_qty "
-                "FROM li GROUP BY l_returnflag",
-                li=li,
-            )
+            assert_equivalent(wrong, PER_LABEL_SQL, edges=edges)
