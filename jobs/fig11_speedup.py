@@ -1,4 +1,4 @@
-"""Figure 11 (as a table): incremental dataflow engine vs per-slide batch
+"""Figure 11 (as a table): incremental Δ-tree engine vs per-slide batch
 re-evaluation (the Virtuoso-emulation baseline). Needs Spark."""
 from _common import job_args
 

@@ -218,13 +218,17 @@ class RAPQEngine:
         """Tuples whose label is not in Σ_Q are discarded (§5.2)."""
         return label in self.dfa.alphabet
 
+    def _owns(self, root: str) -> bool:
+        """May this engine create ``T_root``? A sharded subclass owns a subset."""
+        return True
+
     def _process_edge(
         self, u: str, v: str, label: str, tau: int
     ) -> set[tuple[str, str]]:
         results: set[tuple[str, str]] = set()
         # A new path can start at u if δ(s0, label) is defined: materialize
         # T_u so the generic traversal below extends it (Δ's root set).
-        if label in self.dfa.start_labels and u not in self.trees:
+        if label in self.dfa.start_labels and u not in self.trees and self._owns(u):
             self.trees[u] = SpanningTree(u, self.dfa.start)
             self.vertex_trees.setdefault(u, set()).add(u)
         trans = self.dfa.trans

@@ -1,310 +1,159 @@
-"""Incremental dataflow RPQ engine: micro-batch path-state maintenance.
+"""Incremental dataflow RPQ engine: the Δ-tree RAPQ engine sharded by root.
 
-The distributed realization of Algorithm RAPQ's semantics (arbitrary path,
-implicit windows): the state is the relation
+The paper's prototype parallelizes Algorithm RAPQ across spanning trees
+(§5.1.1), since given the window graph each tree ``T_x`` evolves on its own.
+This module does the same on Spark with ``sc.defaultParallelism`` shards:
+shard ``i`` of ``n`` creates trees only for the roots ``x`` with
+``crc32(x) mod n == i`` (:func:`shard_of`; unlike ``hash``, stable across
+processes). Every shard keeps its own copy of the window edges and sees every
+tuple, so each tree grows exactly as in a single engine, and a pair
+``(x, y)`` comes from the shard that owns ``x`` alone.
 
-    ``paths(x, v, s, ts)``
+The state is an RDD with one shard engine per partition, persisted and
+``localCheckpoint``-ed, so its lineage is one step long. Per micro-batch the
+driver collects the batch once, sorted by ``ts``, and ships the rows in the
+task closure; one ``mapPartitions`` advances every shard, and one JVM-side
+action materializes the new state, after which the old one is unpersisted.
+Each shard adds its new result rows to an accumulator, so the rows reach the
+driver with that job's task results. Collecting them with a second action
+would cost a second Python pass per partition, which dominates a small
+batch's time. Spark merges a task's accumulator updates once, and the state
+is computed once: its lineage is truncated, so nothing recomputes it.
 
-meaning "some path of length ≥ 1 from ``x`` to vertex ``v`` drives the DFA
-from ``s0`` to ``s``, and the best (maximum over witnesses) minimum edge
-timestamp is ``ts``". A pair ``(x, v)`` is a result whenever ``s ∈ F``
-(excluding the root-revisit corner, DESIGN.md). Window expiry is a filter:
-because ``ts`` is the *max-min* over all witnesses, a row whose ``ts`` leaves
-the window has no remaining witness — no tree-reconnection pass is needed at
-this layer, which is exactly what makes the relational encoding attractive
-for dataflow systems.
-
-Per micro-batch of sgts the engine runs a semi-naive delta closure:
-
-1. expire state and window edges against the batch watermark;
-2. derive a delta from the new product edges (seeds from ``s0`` + extensions
-   of existing paths);
-3. iterate ``delta ⋈ window-product-edges`` keeping only improvements
-   (new ``(x,v,s)`` or larger ``ts``) until fixpoint;
-4. emit result pairs not seen before (append-only output stream).
-
-Explicit deletions take a documented fallback: a batch containing negative
-tuples recomputes the closure from the window content (incremental deletion
-is the Δ-tree engine's job — the paper's O(n²·k) path; relational
-high-performance deletion would need DRed-style over-deletion, out of scope).
-
-Result semantics are Definition 9 at *micro-batch granularity*: the union of
-snapshot results at every batch watermark. With one-tuple batches this
-coincides with the eager per-tuple semantics, which the tests exercise.
-
-State lives in Spark DataFrames, localCheckpoint-ed each batch to keep plans
-bounded; all computation is DataFrame joins/aggregations (Catalyst), no RDDs.
+Result semantics are Definition 9 at *micro-batch granularity*: at each batch
+watermark, every pair derivable on the snapshot ``G_{W,τ}`` and not emitted
+before is appended once, with ``ts`` the minimum over its final-state nodes'
+best max-min timestamps (the root excluded). A pair derivable only between
+two watermarks, such as one inserted and deleted within a batch, is not
+emitted. With one-tuple batches this coincides with the Δ-tree engine's
+per-tuple results, which the tests exercise. Deletions go through the
+engine's own Delete (§3.2).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
+import math
+import os
+import zipfile
+import zlib
+from operator import itemgetter
+from pathlib import Path
+
+from pyspark import AccumulatorParam, SparkContext, SparkFiles
+from pyspark.sql import DataFrame, SparkSession
 
 from ..core.dfa import DFA
-from .product_graph import transitions_df
+from ..core.rapq import RAPQEngine
+from ..core.windows import check_tuple
+from ..rpq_oracle import Sgt
 
-_PATH_SCHEMA = "x STRING, v STRING, s INT, ts LONG"
-_EDGE_SCHEMA = "src STRING, dst STRING, label STRING, ts LONG"
-_RESULT_SCHEMA = "x STRING, y STRING, ts LONG"
+ResultRow = tuple[str, str, int]  # (x, y, ts)
 
 
-def _best(df: DataFrame, keys: list[str]) -> DataFrame:
-    """Keep the max-ts row per key group."""
-    return df.groupBy(*keys).agg(F.max("ts").alias("ts"))
+def shard_of(root: str, n: int) -> int:
+    """The shard, of ``n``, that owns the trees rooted at ``root``."""
+    return zlib.crc32(root.encode()) % n
+
+
+class ShardEngine(RAPQEngine):
+    """A RAPQ engine that creates trees only for the roots of one shard."""
+
+    def __init__(self, dfa: DFA, window: int, shard: int, n: int):
+        super().__init__(dfa, window)
+        self.shard, self.n = shard, n
+        self.emitted: set[tuple[str, str]] = set()
+
+    def _owns(self, root: str) -> bool:
+        return shard_of(root, self.n) == self.shard
+
+    def advance(self, sgts: list[tuple]) -> list[ResultRow]:
+        """Process ``sgts`` (ts-sorted ``(ts, src, dst, label, op)`` tuples).
+
+        Returns the pairs derivable at the last tuple's timestamp that were
+        not emitted before, each with the minimum ts of its final-state nodes.
+        """
+        for t in sgts:
+            self.process(Sgt(*t))
+        new = []
+        finals = self.dfa.finals
+        for x, y in self.derivable_pairs() - self.emitted:
+            tree = self.trees[x]
+            # The root's ts is +∞, so it never wins the minimum.
+            ts = min(tree.nodes[(y, s)].ts for s in tree.states_of[y] if s in finals)
+            new.append((x, y, int(ts)))
+            self.emitted.add((x, y))
+        return new
+
+
+class _ListParam(AccumulatorParam):
+    def zero(self, value):
+        return []
+
+    def addInPlace(self, a, b):
+        a += b
+        return a
+
+
+def _advance(engines, sgts, rows):
+    for engine in engines:
+        rows.add(engine.advance(sgts))
+        yield engine
+
+
+def _ship_package(sc: SparkContext) -> None:
+    """Make ``repro`` importable in the Python workers, once per context."""
+    if "repro.zip" in sc._python_includes:
+        return
+    src = Path(__file__).resolve().parents[2]
+    path = os.path.join(SparkFiles.getRootDirectory(), "repro.zip")
+    with zipfile.ZipFile(path, "w") as z:
+        for f in (src / "repro").rglob("*.py"):
+            z.write(f, f.relative_to(src))
+    sc.addPyFile(path)
 
 
 class IncrementalRPQ:
     """Micro-batch incremental RPQ evaluation over a sliding window."""
 
     def __init__(self, spark: SparkSession, dfa: DFA, window: int):
-        self.spark = spark
-        self.dfa = dfa
-        self.window = window
-        self.trans = transitions_df(spark, dfa).localCheckpoint(eager=True)
-        self.edges = spark.createDataFrame([], _EDGE_SCHEMA).localCheckpoint(True)
-        self.paths = spark.createDataFrame([], _PATH_SCHEMA).localCheckpoint(True)
-        self.result_rows = spark.createDataFrame([], _RESULT_SCHEMA).localCheckpoint(True)
-        self.watermark: int | None = None
-        self.closure_rounds = 0
+        sc = spark.sparkContext
+        _ship_package(sc)
+        n = sc.defaultParallelism
+        self.state = sc.parallelize([ShardEngine(dfa, window, i, n) for i in range(n)], n)
+        self._new_rows = sc.accumulator([], _ListParam())
+        self.rows: list[ResultRow] = []
+        self.watermark: float = -math.inf
+        self.closure_rounds = 0  # state-advancing Spark jobs
 
-    # ------------------------------------------------------------------
+    def process_batch(self, batch: DataFrame) -> list[ResultRow]:
+        """Consume one micro-batch of sgts; returns the newly appended rows.
 
-    def process_batch(self, batch: DataFrame) -> DataFrame:
-        """Consume one micro-batch of sgts; returns newly appended results.
-
-        ``batch`` columns: ``ts, src, dst, label, op``. Timestamps must be
-        ≥ the previous watermark (in-order streams, paper §2).
+        ``batch`` columns: ``ts, src, dst, label, op``. Raises ``ValueError``
+        on an unknown ``op`` or a timestamp before the previous watermark
+        (in-order streams, paper §2).
         """
-        if batch.isEmpty():
-            return self.spark.createDataFrame([], _RESULT_SCHEMA)
-        wm = batch.agg(F.max("ts")).collect()[0][0]
-        self.watermark = wm if self.watermark is None else max(self.watermark, wm)
-        lo = self.watermark - self.window
-
-        has_deletes = not batch.filter(F.col("op") == "-").isEmpty()
-        inserts = (
-            batch.filter(F.col("op") == "+")
-            .join(self.trans.select("label").distinct(), on="label")
-            .select("src", "dst", "label", "ts")
-        )
-
-        # --- window edge-state maintenance (latest ts per edge identity).
-        if has_deletes:
-            self._apply_ops_in_order(batch)
-        else:
-            self.edges = _best(
-                self.edges.unionByName(inserts), ["src", "dst", "label"]
-            )
-        # One materialization point per batch for the edge state; everything
-        # downstream (product, closure) reads the checkpointed relation.
-        self.edges = self.edges.filter(F.col("ts") > lo).localCheckpoint(True)
-
-        if has_deletes:
-            # Documented fallback: deletions invalidate arbitrary suffixes of
-            # the path state; recompute the closure from the window content.
-            new_paths = self._full_closure()
-            self.paths = new_paths.localCheckpoint(True)
-        else:
-            delta = self._delta_from(inserts, lo)
-            self._merge_closure(delta, lo)
-
-        self.paths = self.paths.filter(F.col("ts") > lo).localCheckpoint(True)
-        return self._emit_new_results()
-
-    # ------------------------------------------------------------------
-
-    def _apply_ops_in_order(self, batch: DataFrame) -> None:
-        """Apply +/- ops respecting intra-batch order (latest op wins)."""
-        w = Window.partitionBy("src", "dst", "label").orderBy(F.col("ts").desc())
-        merged = (
-            self.edges.withColumn("op", F.lit("+"))
-            .unionByName(batch.select("src", "dst", "label", "ts", "op"))
-            .withColumn("rn", F.row_number().over(w))
-            .filter((F.col("rn") == 1) & (F.col("op") == "+"))
-            .join(self.trans.select("label").distinct(), on="label")
-            .select("src", "dst", "label", "ts")
-        )
-        self.edges = merged
-
-    def _product(self, edges: DataFrame) -> DataFrame:
-        return edges.join(self.trans, on="label").select(
-            F.col("src").alias("src_v"),
-            "src_s",
-            F.col("dst").alias("dst_v"),
-            "dst_s",
-            "ts",
-        )
-
-    def _delta_from(self, inserts: DataFrame, lo: int) -> DataFrame:
-        """Initial delta: seeds + one-step extensions through new edges."""
-        new_pe = self._product(inserts.filter(F.col("ts") > lo))
-        seeds = new_pe.filter(F.col("src_s") == self.dfa.start).select(
-            F.col("src_v").alias("x"),
-            F.col("dst_v").alias("v"),
-            F.col("dst_s").alias("s"),
-            "ts",
-        )
-        ext = (
-            self.paths.alias("p")
-            .join(
-                new_pe.alias("e"),
-                (F.col("p.v") == F.col("e.src_v"))
-                & (F.col("p.s") == F.col("e.src_s")),
-            )
-            .select(
-                F.col("p.x").alias("x"),
-                F.col("e.dst_v").alias("v"),
-                F.col("e.dst_s").alias("s"),
-                F.least(F.col("p.ts"), F.col("e.ts")).alias("ts"),
-            )
-        )
-        return _best(seeds.unionByName(ext), ["x", "v", "s"])
-
-    def _improvements(self, candidate: DataFrame) -> DataFrame:
-        """Rows of ``candidate`` that are new or improve the stored ts."""
-        joined = candidate.alias("c").join(
-            self.paths.alias("p"),
-            on=[
-                F.col("c.x") == F.col("p.x"),
-                F.col("c.v") == F.col("p.v"),
-                F.col("c.s") == F.col("p.s"),
-            ],
-            how="left",
-        )
-        return joined.filter(
-            F.col("p.ts").isNull() | (F.col("c.ts") > F.col("p.ts"))
-        ).select(
-            F.col("c.x").alias("x"),
-            F.col("c.v").alias("v"),
-            F.col("c.s").alias("s"),
-            F.col("c.ts").alias("ts"),
-        )
-
-    def _merge_closure(self, delta: DataFrame, lo: int, max_rounds: int = 200) -> None:
-        """Semi-naive: fold improvements into state, expand until fixpoint.
-
-        Only the per-round delta is materialized (``localCheckpoint``): it is
-        consumed by both the emptiness test and two joins, and truncating it
-        keeps the loop's plan size constant. The accumulated ``paths`` state
-        stays lazy within the batch — ``process_batch`` checkpoints it once
-        at the end.
-        """
-        window_pe = self._product(self.edges).localCheckpoint(True)
-        delta = self._improvements(delta).localCheckpoint(True)
-        rounds = 0
-        while not delta.isEmpty():
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError("closure did not converge")
-            self.paths = _best(self.paths.unionByName(delta), ["x", "v", "s"])
-            grown = (
-                delta.alias("d")
-                .join(
-                    window_pe.alias("e"),
-                    (F.col("d.v") == F.col("e.src_v"))
-                    & (F.col("d.s") == F.col("e.src_s")),
-                )
-                .select(
-                    F.col("d.x").alias("x"),
-                    F.col("e.dst_v").alias("v"),
-                    F.col("e.dst_s").alias("s"),
-                    F.least(F.col("d.ts"), F.col("e.ts")).alias("ts"),
-                )
-                .filter(F.col("ts") > lo)
-            )
-            delta = self._improvements(
-                _best(grown, ["x", "v", "s"])
-            ).localCheckpoint(True)
-        self.closure_rounds += rounds
-
-    def _full_closure(self) -> DataFrame:
-        """Recompute ``paths`` from the current window edges (deletion path)."""
-        pe = self._product(self.edges).localCheckpoint(True)
-        reach = (
-            pe.filter(F.col("src_s") == self.dfa.start)
-            .select(
-                F.col("src_v").alias("x"),
-                F.col("dst_v").alias("v"),
-                F.col("dst_s").alias("s"),
-                "ts",
-            )
-        )
-        reach = _best(reach, ["x", "v", "s"]).localCheckpoint(True)
-        frontier = reach
-        for _ in range(200):
-            if frontier.isEmpty():
-                break
-            grown = (
-                frontier.alias("f")
-                .join(
-                    pe.alias("e"),
-                    (F.col("f.v") == F.col("e.src_v"))
-                    & (F.col("f.s") == F.col("e.src_s")),
-                )
-                .select(
-                    F.col("f.x").alias("x"),
-                    F.col("e.dst_v").alias("v"),
-                    F.col("e.dst_s").alias("s"),
-                    F.least(F.col("f.ts"), F.col("e.ts")).alias("ts"),
-                )
-            )
-            grown = _best(grown, ["x", "v", "s"])
-            improved = (
-                grown.alias("c")
-                .join(
-                    reach.alias("p"),
-                    on=[
-                        F.col("c.x") == F.col("p.x"),
-                        F.col("c.v") == F.col("p.v"),
-                        F.col("c.s") == F.col("p.s"),
-                    ],
-                    how="left",
-                )
-                .filter(F.col("p.ts").isNull() | (F.col("c.ts") > F.col("p.ts")))
-                .select(
-                    F.col("c.x").alias("x"),
-                    F.col("c.v").alias("v"),
-                    F.col("c.s").alias("s"),
-                    F.col("c.ts").alias("ts"),
-                )
-                .localCheckpoint(True)
-            )
-            if improved.isEmpty():
-                break
-            reach = _best(reach.unionByName(improved), ["x", "v", "s"]).localCheckpoint(True)
-            frontier = improved
-        else:
-            raise RuntimeError("full closure did not converge")
-        return reach
-
-    def _emit_new_results(self) -> DataFrame:
-        finals = [int(f) for f in self.dfa.finals]
-        pairs = (
-            self.paths.filter(F.col("s").isin(finals))
-            .filter(~((F.col("v") == F.col("x")) & (F.col("s") == F.lit(self.dfa.start))))
-            .select("x", F.col("v").alias("y"), "ts")
-        )
-        pairs = pairs.groupBy("x", "y").agg(F.min("ts").alias("ts"))
-        new = pairs.join(
-            self.result_rows.select("x", "y"), on=["x", "y"], how="left_anti"
-        ).localCheckpoint(True)
-        self.result_rows = self.result_rows.unionByName(new).localCheckpoint(True)
-        return new
-
-    # ------------------------------------------------------------------
+        cols = batch.select("ts", "src", "dst", "label", "op").collect()
+        sgts = sorted(map(tuple, cols), key=itemgetter(0))
+        if not sgts:
+            return []
+        for t in sgts:
+            check_tuple(Sgt(*t), self.watermark)
+        self.watermark = sgts[-1][0]
+        acc = self._new_rows
+        acc.value = []
+        new = self.state.mapPartitions(lambda engines: _advance(engines, sgts, acc))
+        new.persist().localCheckpoint()
+        new._jrdd.count()  # runs the job in the JVM, without a Python pass
+        rows = acc.value
+        self.state.unpersist()
+        self.state = new
+        self.closure_rounds += 1
+        self.rows += rows
+        return rows
 
     def results(self) -> set[tuple[str, str]]:
         """All pairs appended to the output stream so far."""
-        return {(r["x"], r["y"]) for r in self.result_rows.collect()}
+        return {(x, y) for x, y, _ in self.rows}
 
     def derivable_pairs(self) -> set[tuple[str, str]]:
-        """Pairs witnessed by the current path state (current snapshot)."""
-        finals = [int(f) for f in self.dfa.finals]
-        rows = (
-            self.paths.filter(F.col("s").isin(finals))
-            .filter(~((F.col("v") == F.col("x")) & (F.col("s") == F.lit(self.dfa.start))))
-            .select("x", "v")
-            .distinct()
-            .collect()
-        )
-        return {(r["x"], r["v"]) for r in rows}
+        """Pairs witnessed by the current state (the last watermark's snapshot)."""
+        return set(self.state.flatMap(lambda e: e.derivable_pairs()).collect())

@@ -6,21 +6,22 @@ then an unbounded stream of sgts drives incremental maintenance, emitting an
 append-only stream of result pairs.
 
 The source is a file stream of JSON-lines sgts (``ts, src, dst, label, op``)
-— the stand-in for the paper's Kafka-like single in-order source. Each
-micro-batch is handed to ``IncrementalRPQ.process_batch`` via ``foreachBatch``
-(the idiomatic place for stateful DataFrame-to-DataFrame maintenance logic
-that Structured Streaming's built-in operators cannot express); newly derived
-results are appended to a driver-side sink list and optionally written as
-JSON for downstream consumers.
+— the stand-in for the paper's Kafka-like single in-order source. The file
+source hands files over in modification-time order, and nothing reorders rows
+across micro-batches, so files must arrive in stream order. Each micro-batch
+is handed to ``IncrementalRPQ.process_batch`` via ``foreachBatch``, which
+sorts the batch's rows by ``ts`` on the driver and advances the sharded
+Δ-tree state; the ``(x, y, ts)`` rows it returns are appended to a
+driver-side sink list.
 """
 from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from ..core.dfa import DFA
 from .incremental import IncrementalRPQ
@@ -76,11 +77,7 @@ def start_streaming_rpq(
     )
 
     def handle_batch(batch_df: DataFrame, epoch_id: int) -> None:
-        # File sources may interleave files; restore source-timestamp order
-        # (the paper assumes in-order arrival, §2).
-        new = engine.process_batch(batch_df.orderBy("ts"))
-        for r in new.collect():
-            sink.rows.append((r["x"], r["y"], r["ts"]))
+        sink.rows.extend(engine.process_batch(batch_df))
 
     writer = source.writeStream.foreachBatch(handle_batch)
     if checkpoint_dir is not None:
@@ -102,8 +99,13 @@ def run_stream_to_completion(
     in_dir = os.path.join(work_dir, "in")
     os.makedirs(in_dir, exist_ok=True)
     chunks = [sgts[i : i + batch_size] for i in range(0, len(sgts), batch_size)]
+    # The file source hands files over in modification-time order; files
+    # written in one burst can share an mtime, so give them distinct ones.
+    t0 = time.time() - len(chunks)
     for i, chunk in enumerate(chunks):
-        write_sgt_file(os.path.join(in_dir, f"part-{i:05d}.json"), chunk)
+        path = os.path.join(in_dir, f"part-{i:05d}.json")
+        write_sgt_file(path, chunk)
+        os.utime(path, (t0 + i, t0 + i))
     query, engine, sink = start_streaming_rpq(
         spark, in_dir, dfa, window, max_files_per_trigger=1
     )

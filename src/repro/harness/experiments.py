@@ -366,10 +366,11 @@ def fig11_speedup(spark, queries=("Q1", "Q2", "Q11"), scale: float = 1.0) -> lis
     paper's per-*tuple* re-evaluation. Result sets are asserted equal before
     any timing is reported.
 
-    The dataflow-vs-dataflow variant (IncrementalRPQ vs batch per slide) is
-    deliberately *not* the headline here: at laptop scale both are dominated
-    by fixed per-job costs, which hides the algorithmic gap the paper
-    measures (see EXPERIMENTS.md commentary).
+    The dataflow variant (``IncrementalRPQ``, the same Δ-tree engine sharded
+    by root across Spark partitions, one state job per slide) is deliberately
+    *not* the headline here: at laptop scale its per-slide time is Spark's
+    fixed per-job cost, not the algorithm's work, which hides the gap the
+    paper measures (see EXPERIMENTS.md commentary).
     """
     from ..dataflow.batch_eval import batch_rapq
 

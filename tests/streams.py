@@ -1,4 +1,5 @@
-"""Random small streams shared by the differential suites."""
+"""Random small streams and a brute-force timestamp oracle shared by the suites."""
+import math
 import random
 
 from repro.rpq_oracle import Sgt
@@ -28,3 +29,26 @@ def random_stream(seed, n=40, n_vertices=6, labels=("a", "b", "c"),
             if (u, v, lbl) not in live:
                 live.append((u, v, lbl))
     return stream
+
+
+def best_timestamps(edges, dfa, root):
+    """Brute-force max-min path timestamp of every product node from ``root``.
+
+    ``edges`` maps ``(u, v, label)`` to its timestamp; the root's is +∞.
+    """
+    best = {(root, dfa.start): math.inf}
+    changed = True
+    while changed:
+        changed = False
+        for (u, v, label), ts in edges.items():
+            for s in range(dfa.n_states):
+                if (u, s) not in best:
+                    continue
+                t = dfa.delta(s, label)
+                if t is None:
+                    continue
+                cand = min(best[(u, s)], ts)
+                if best.get((v, t), -math.inf) < cand:
+                    best[(v, t)] = cand
+                    changed = True
+    return best

@@ -146,3 +146,24 @@ class TestRandomizedSmall:
         dfa = compile_regex(parse("(a|b)+"))
         engine, reference = run_batches(spark, sgts, dfa, window=8, batch_size=4)
         assert engine.results() == reference
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "bad", [Sgt(3, "y", "z", "a"), Sgt(6, "y", "z", "a", "?")]
+    )
+    def test_bad_batch_raises_and_leaves_state(self, spark, bad):
+        """An older batch or an unknown op is rejected before any state moves."""
+        dfa = compile_regex(parse("a"))
+        engine = IncrementalRPQ(spark, dfa, window=10)
+        engine.process_batch(to_batch_df(spark, [Sgt(5, "x", "y", "a")]))
+        with pytest.raises(ValueError):
+            engine.process_batch(to_batch_df(spark, [bad]))
+        assert engine.closure_rounds == 1
+        engine.process_batch(to_batch_df(spark, [Sgt(7, "p", "q", "a")]))
+        assert engine.results() == engine.derivable_pairs() == {("x", "y"), ("p", "q")}
+
+    def test_empty_batch_returns_nothing(self, spark):
+        engine = IncrementalRPQ(spark, compile_regex(parse("a")), window=10)
+        assert engine.process_batch(to_batch_df(spark, [])) == []
+        assert engine.closure_rounds == 0 and engine.results() == set()

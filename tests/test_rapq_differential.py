@@ -21,7 +21,7 @@ from repro.rpq_oracle import (
     streaming_reference,
 )
 
-from .streams import random_stream
+from .streams import best_timestamps, random_stream
 
 QUERIES = [
     "a*",
@@ -37,29 +37,6 @@ QUERIES = [
     "a b c",
     "(a b)+",
 ]
-
-
-def best_timestamps(edges, dfa, root):
-    """Brute-force max-min path timestamp of every product node from ``root``.
-
-    ``edges`` maps ``(u, v, label)`` to its timestamp; the root's is +∞.
-    """
-    best = {(root, dfa.start): math.inf}
-    changed = True
-    while changed:
-        changed = False
-        for (u, v, label), ts in edges.items():
-            for s in range(dfa.n_states):
-                if (u, s) not in best:
-                    continue
-                t = dfa.delta(s, label)
-                if t is None:
-                    continue
-                cand = min(best[(u, s)], ts)
-                if best.get((v, t), -math.inf) < cand:
-                    best[(v, t)] = cand
-                    changed = True
-    return best
 
 
 def check_index(engine):
