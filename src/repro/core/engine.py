@@ -1,0 +1,240 @@
+"""The Δ-tree engine skeleton shared by Algorithms RAPQ (§3) and RSPQ (§4).
+
+Both engines keep one spanning tree ``T_x`` per root ``x`` over the product
+of the window graph and the query DFA (Definition 12). The paper builds RSPQ
+as RAPQ plus markings and conflicts and reuses the §3 machinery for
+ExpiryRSPQ and Delete (§4.1, §3.2); :class:`DeltaEngine` is that machinery:
+the per-tuple driver, the expiry driver and the Delete driver.
+
+A subclass sets ``tree_type``: a tree with ``root``, ``floor`` (a lower bound
+on its nodes' ts), ``size``, ``states_of`` (vertex -> states present) and
+``tighten_floor()``. It provides the per-edge step ``_process_edge``
+(Insert, or Extend/Unmark), the per-tree "prune and reconnect" step
+``_expire_tree``, Delete's tree-edge marking ``_mark_deleted`` and the
+result predicate ``_derivable``.
+"""
+from __future__ import annotations
+
+import math
+from heapq import heappop, heappush
+from typing import Callable, Iterable
+
+from ..rpq_oracle import Sgt
+from .dfa import DFA
+from .windows import WindowGraph, check_tuple
+
+INF = math.inf
+NEG_INF = -math.inf
+
+Key = tuple[str, int]  # (vertex, automaton state)
+
+
+class DeltaEngine:
+    """Persistent RPQ evaluation over a sliding window with a Δ-tree index.
+
+    Parameters
+    ----------
+    dfa:
+        the (minimal) query automaton.
+    window:
+        |W|, the window length in time units.
+    slide:
+        β, the slide interval; expiry runs when the stream time crosses a
+        multiple of β (lazy expiration, eager evaluation).
+    on_result:
+        optional callback ``(ts, x, y, op)`` invoked for every appended
+        (``op='+'``) or invalidated (``op='-'``) result.
+    """
+
+    tree_type: type
+
+    def __init__(
+        self,
+        dfa: DFA,
+        window: int,
+        slide: int = 1,
+        on_result: Callable[[int, str, str, str], None] | None = None,
+    ):
+        self.dfa = dfa
+        self.window = window
+        self.slide = max(1, slide)
+        self.graph = WindowGraph(window)
+        self.trees: dict = {}
+        # vertex -> roots of trees containing it in some state
+        self.vertex_trees: dict[str, set[str]] = {}
+        self.results: dict[tuple[str, str], int] = {}  # pair -> first ts
+        # Min-heap of (floor, root). Every tree with a finite floor has an
+        # entry at or below it. Entries for an older floor or a GC'd tree are
+        # stale: expire scans a popped root only if its current floor is due.
+        self._floors: list[tuple[float, str]] = []
+        self.on_result = on_result
+        self._last_boundary = NEG_INF
+        self._tau: float = NEG_INF  # timestamp of the previous tuple
+
+    def process(self, sgt: Sgt) -> set[tuple[str, str]]:
+        """Consume one streaming graph tuple; returns newly reported pairs.
+
+        Raises ``ValueError`` on an unknown ``op`` or on a timestamp older
+        than the previous tuple's.
+        """
+        check_tuple(sgt, self._tau)
+        self._begin_tuple()
+        tau = self._tau = sgt.ts
+        boundary = (tau // self.slide) * self.slide
+        if boundary > self._last_boundary:
+            self._last_boundary = boundary
+            self.expire(boundary)
+        u, v, label = sgt.src, sgt.dst, sgt.label
+        if sgt.op == "-":
+            self._delete(u, v, label, tau)
+            return set()
+        if label not in self.dfa.alphabet:
+            return set()  # tuples whose label is not in Σ_Q are discarded (§5.2)
+        self.graph.insert(u, v, label, tau)
+        # A new path can start at u if δ(s0, label) is defined: materialize
+        # T_u so the per-edge step extends it (Δ's root set).
+        if label in self.dfa.start_labels and u not in self.trees and self._owns(u):
+            self.trees[u] = self.tree_type(u, self.dfa.start)
+            self.vertex_trees.setdefault(u, set()).add(u)
+        results = self._process_edge(u, v, label, tau)
+        self._report(results, tau)
+        return results
+
+    def run(self, stream: Iterable[Sgt]) -> set[tuple[str, str]]:
+        """Convenience: process a whole stream, returning the result set."""
+        for sgt in stream:
+            self.process(sgt)
+        return set(self.results)
+
+    def derivable_pairs(self) -> set[tuple[str, str]]:
+        """Pairs currently witnessed by the index (final-state nodes).
+
+        After ``expire(τ)`` this equals the batch result on ``G_{W,τ}`` —
+        the invariant the differential tests check.
+        """
+        return {
+            (x, v)
+            for x, tree in self.trees.items()
+            for v in tree.states_of
+            if self._derivable(x, v)
+        }
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(t.size for t in self.trees.values())
+
+    def _begin_tuple(self) -> None:
+        """Called by ``process`` for each valid tuple, before any other work."""
+
+    def _owns(self, root: str) -> bool:
+        """May this engine create ``T_root``? A sharded subclass owns a subset."""
+        return True
+
+    def _report(self, pairs: set[tuple[str, str]], tau: int) -> None:
+        for pair in pairs:
+            if pair not in self.results:
+                self.results[pair] = tau
+                if self.on_result is not None:
+                    self.on_result(tau, pair[0], pair[1], "+")
+
+    # ------------------------------------------------------------------
+    # expiry driver (ExpiryRAPQ / ExpiryRSPQ)
+    # ------------------------------------------------------------------
+
+    def expire(self, tau: float, invalidate: bool = False) -> set[tuple[str, str]]:
+        """Remove expired nodes, reconnecting subtrees through valid edges.
+
+        Only the trees whose floor-heap entries are ``≤ τ − |W|`` are popped;
+        a tree whose ``floor`` lies above that bound has no node to expire
+        and is not visited. Each due tree goes through the subclass's
+        ``_expire_tree``, which prunes the nodes with ``ts ≤ τ − |W|`` and
+        reconnects what it can. Keys that lost every node are gone for good;
+        with ``invalidate=True`` (the explicit-deletion path) their
+        final-state members are returned and, when no longer derivable,
+        reported as negative results.
+        """
+        now = int(tau) if tau != NEG_INF else 0
+        self.graph.expire(now)
+        lo = tau - self.window
+        finals = self.dfa.finals
+        invalidated: set[tuple[str, str]] = set()
+        floors = self._floors
+        due = []
+        while floors and floors[0][0] <= lo:
+            due.append(heappop(floors)[1])
+        # Every tree with floor ≤ lo had an entry ≤ lo, so all were popped;
+        # dict.fromkeys drops duplicates and keeps pop order.
+        for x in dict.fromkeys(due):
+            tree = self.trees.get(x)
+            if tree is None or tree.floor > lo:
+                continue  # stale entry
+            reconnected: set[tuple[str, str]] = set()
+            pruned = self._expire_tree(tree, lo, invalidate, reconnected)
+            if not pruned:
+                # Tighten the bound only after an empty scan: after one that
+                # expired nodes, the old floor is still ≤ lo and still valid.
+                tree.tighten_floor()
+                heappush(floors, (tree.floor, x))
+                continue
+            # Maintain the reverse index and collect invalidations.
+            states_of = tree.states_of
+            for v, t in pruned:
+                states = states_of.get(v)
+                if states is not None and t in states:
+                    continue  # reconnected
+                if t in finals:
+                    invalidated.add((x, v))
+                if states is None:
+                    self._untrack(v, x)
+            # Reconnection may discover pairs not previously reported.
+            self._report(reconnected, now)
+            # Garbage-collect trees reduced to a bare root.
+            if tree.size == 1:
+                del self.trees[x]
+                self._untrack(x, x)
+            else:  # floor unchanged and ≤ lo: due again at the next boundary
+                heappush(floors, (tree.floor, x))
+        if invalidate:
+            for x, v in invalidated:
+                if (x, v) in self.results and not self._derivable(x, v):
+                    del self.results[(x, v)]
+                    if self.on_result is not None:
+                        self.on_result(now, x, v, "-")
+        return invalidated
+
+    def _untrack(self, v: str, x: str) -> None:
+        """``T_x`` no longer holds vertex ``v``: drop it from the reverse index."""
+        roots = self.vertex_trees.get(v)
+        if roots is not None:
+            roots.discard(x)
+            if not roots:
+                del self.vertex_trees[v]
+
+    # ------------------------------------------------------------------
+    # Algorithm Delete (§3.2)
+    # ------------------------------------------------------------------
+
+    def _delete(self, u: str, v: str, label: str, tau: int) -> set[tuple[str, str]]:
+        """Process a negative tuple: mark affected subtrees expired, re-expire.
+
+        A deleted edge matters only where it is a *tree edge* (Definition
+        13). The subclass marks the subtree under each such edge with
+        ``ts = −∞``; the tree's floor drops to −∞, so the regular expiry
+        machinery visits it and reconnects or drops the marked nodes.
+        """
+        if not self.graph.delete(u, v, label):
+            return set()
+        touched = False
+        for x in list(self.vertex_trees.get(v, ())):
+            tree = self.trees.get(x)
+            if tree is not None and self._mark_deleted(tree, u, v, label):
+                tree.floor = NEG_INF
+                heappush(self._floors, (NEG_INF, x))
+                touched = True
+        if not touched:
+            return set()
+        return self.expire(tau, invalidate=True)

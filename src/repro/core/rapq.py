@@ -1,19 +1,20 @@
 """Algorithm RAPQ — incremental RPQ evaluation under arbitrary path semantics.
 
-Implements the paper's §3 algorithms over the Δ tree index (Definition 12):
+Implements the paper's §3 algorithms over the Δ tree index (Definition 12),
+on the engine skeleton of :mod:`repro.core.engine`:
 
-* **RAPQ** (:meth:`RAPQEngine.process`) — per-tuple traversal of the product
-  graph, guided by the query DFA;
+* **RAPQ** (:meth:`RAPQEngine._process_edge`) — per-tuple traversal of the
+  product graph, guided by the query DFA;
 * **Insert** (:meth:`RAPQEngine._insert`) — tree extension with timestamp
   maintenance, run best-first (a widest-path Dijkstra) so that each node is
   settled at most once per tuple and tree;
-* **ExpiryRAPQ** (:meth:`RAPQEngine.expire`) — lazy window expiry at slide
-  boundaries with subtree reconnection; a per-tree lower bound on node
-  timestamps (``SpanningTree.floor``), kept in a min-heap of ``(floor,
-  root)`` entries, lets it visit only the trees that may have something to
-  expire;
-* **Delete** (:meth:`RAPQEngine._delete`) — explicit deletions via negative
-  tuples, reusing the expiry machinery (§3.2).
+* **ExpiryRAPQ** (:meth:`RAPQEngine._expire_tree`) — prune one tree's expired
+  nodes and reconnect them through every surviving in-edge; the shared
+  driver :meth:`~repro.core.engine.DeltaEngine.expire` visits only the trees
+  whose timestamp floor (``SpanningTree.floor``) is due;
+* **Delete** (:meth:`RAPQEngine._mark_deleted`) — explicit deletions via
+  negative tuples: mark the subtree under a deleted tree edge and let the
+  shared expiry machinery reconnect or drop it (§3.2).
 
 Each tree node ``(v, s)`` stores the timestamp of its best witnessing path
 from the root ``(x, s0)``: the maximum, over the paths in the window, of the
@@ -26,20 +27,13 @@ the batch result on the snapshot ``G_{W,τ}``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable
 
-from ..rpq_oracle import Sgt
 from .dfa import DFA
-from .windows import WindowGraph, check_tuple
-
-INF = math.inf
-NEG_INF = -math.inf
-
-Key = tuple[str, int]  # (vertex, automaton state)
+from .engine import INF, NEG_INF, DeltaEngine, Key
 
 
 @dataclass(slots=True)
@@ -96,6 +90,9 @@ class SpanningTree:
             if not states:
                 del self.states_of[key[0]]
 
+    def tighten_floor(self) -> None:
+        self.floor = min(map(attrgetter("ts"), self.nodes.values()))
+
     def subtree_keys(self, key: Key) -> list[Key]:
         """All keys in the subtree rooted at ``key`` (including it)."""
         out = [key]
@@ -112,22 +109,11 @@ class SpanningTree:
         return len(self.nodes)
 
 
-class RAPQEngine:
-    """Persistent RPQ evaluation under arbitrary path semantics (§3).
+class RAPQEngine(DeltaEngine):
+    """Persistent RPQ evaluation under arbitrary path semantics (§3), with
+    the :class:`~repro.core.engine.DeltaEngine` parameters."""
 
-    Parameters
-    ----------
-    dfa:
-        the (minimal) query automaton.
-    window:
-        |W|, the window length in time units.
-    slide:
-        β, the slide interval; expiry runs when the stream time crosses a
-        multiple of β (lazy expiration, eager evaluation).
-    on_result:
-        optional callback ``(ts, x, y, op)`` invoked for every appended
-        (``op='+'``) or invalidated (``op='-'``) result.
-    """
+    tree_type = SpanningTree
 
     def __init__(
         self,
@@ -136,101 +122,19 @@ class RAPQEngine:
         slide: int = 1,
         on_result: Callable[[int, str, str, str], None] | None = None,
     ):
-        self.dfa = dfa
-        self.window = window
-        self.slide = max(1, slide)
-        self.graph = WindowGraph(window)
-        self.trees: dict[str, SpanningTree] = {}
-        # vertex -> roots of trees containing it in some state
-        self.vertex_trees: dict[str, set[str]] = {}
-        self.results: dict[tuple[str, str], int] = {}  # pair -> first ts
-        # Min-heap of (floor, root). Every tree with a finite floor has an
-        # entry at or below it. Entries for an older floor or a GC'd tree are
-        # stale: expire scans a popped root only if its current floor is due.
-        self._floors: list[tuple[float, str]] = []
-        self.on_result = on_result
-        self._last_boundary = NEG_INF
-        self._tau: float = NEG_INF  # timestamp of the previous tuple
+        super().__init__(dfa, window, slide, on_result)
         # metrics
         self.insert_calls = 0
         self.expiry_scans = 0
 
     # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-
-    def process(self, sgt: Sgt) -> set[tuple[str, str]]:
-        """Consume one streaming graph tuple; returns newly reported pairs.
-
-        Raises ``ValueError`` on an unknown ``op`` or on a timestamp older
-        than the previous tuple's.
-        """
-        check_tuple(sgt, self._tau)
-        tau = self._tau = sgt.ts
-        boundary = (tau // self.slide) * self.slide
-        if boundary > self._last_boundary:
-            self._last_boundary = boundary
-            self.expire(boundary)
-        if sgt.op == "-":
-            self._delete(sgt.src, sgt.dst, sgt.label, tau)
-            return set()
-        if not self._relevant(sgt.label):
-            return set()
-        self.graph.insert(sgt.src, sgt.dst, sgt.label, tau)
-        return self._process_edge(sgt.src, sgt.dst, sgt.label, tau)
-
-    def run(self, stream: Iterable[Sgt]) -> set[tuple[str, str]]:
-        """Convenience: process a whole stream, returning the result set."""
-        for sgt in stream:
-            self.process(sgt)
-        return set(self.results)
-
-    def derivable_pairs(self) -> set[tuple[str, str]]:
-        """Pairs currently witnessed by the index (final-state nodes).
-
-        After ``expire(τ)`` this equals the batch result on ``G_{W,τ}`` —
-        the invariant the differential tests check.
-        """
-        return {
-            (x, v)
-            for x, tree in self.trees.items()
-            for v in tree.states_of
-            if self._derivable(x, v)
-        }
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-    @property
-    def n_nodes(self) -> int:
-        return sum(t.size for t in self.trees.values())
-
-    # ------------------------------------------------------------------
     # Algorithm RAPQ
     # ------------------------------------------------------------------
-
-    def _relevant(self, label: str) -> bool:
-        """Tuples whose label is not in Σ_Q are discarded (§5.2)."""
-        return label in self.dfa.alphabet
-
-    def _owns(self, root: str) -> bool:
-        """May this engine create ``T_root``? A sharded subclass owns a subset."""
-        return True
 
     def _process_edge(
         self, u: str, v: str, label: str, tau: int
     ) -> set[tuple[str, str]]:
         results: set[tuple[str, str]] = set()
-        # A new path can start at u if δ(s0, label) is defined: materialize
-        # T_u so the generic traversal below extends it (Δ's root set).
-        if label in self.dfa.start_labels and u not in self.trees and self._owns(u):
-            self.trees[u] = SpanningTree(u, self.dfa.start)
-            self.vertex_trees.setdefault(u, set()).add(u)
         trans = self.dfa.trans
         for x in list(self.vertex_trees.get(u, ())):
             tree = self.trees.get(x)
@@ -248,7 +152,6 @@ class RAPQEngine:
                     seeds.append((cand, (u, s), (v, t)))
             if seeds:
                 self._insert(tree, seeds, results)
-        self._report(results, tau)
         return results
 
     # ------------------------------------------------------------------
@@ -315,100 +218,42 @@ class RAPQEngine:
         if tree.floor < floor:
             heappush(self._floors, (tree.floor, root))
 
-    def _report(self, pairs: set[tuple[str, str]], tau: int) -> None:
-        for pair in pairs:
-            if pair not in self.results:
-                self.results[pair] = tau
-                if self.on_result is not None:
-                    self.on_result(tau, pair[0], pair[1], "+")
-
     # ------------------------------------------------------------------
     # Algorithm ExpiryRAPQ
     # ------------------------------------------------------------------
 
-    def expire(self, tau: float, invalidate: bool = False) -> set[tuple[str, str]]:
-        """Remove expired nodes, reconnecting subtrees through valid edges.
+    def _expire_tree(
+        self, tree: SpanningTree, lo: float, invalidate: bool, results: set[tuple[str, str]]
+    ) -> list[Key]:
+        """The paper's **ExpiryRAPQ** on one tree; returns the pruned keys.
 
-        Follows the paper's **ExpiryRAPQ** per tree: collect the potentially
-        expired set P (nodes with ``ts ≤ τ − |W|``; a tree whose ``floor``
-        lies above that bound has none and is not visited, because only the
-        trees whose floor-heap entries are due get popped), prune it, then
-        re-``Insert`` the pruned nodes from every still-valid parent over a
-        still-valid window edge, all in one best-first :meth:`_insert` call
-        per tree, so reconnected nodes get their best timestamps. Nodes that
-        cannot be reconnected are gone for good; with ``invalidate=True``
-        (the explicit-deletion path) their final-state members are returned
-        and reported as negative results.
+        Collect the potentially expired set P (nodes with ``ts ≤ lo``),
+        prune it, then re-``Insert`` the pruned nodes from every still-valid
+        parent over a still-valid window edge, all in one best-first
+        :meth:`_insert` call, so reconnected nodes get their best timestamps.
+        Every pruned key is a candidate on both the boundary and the
+        deletion path (``invalidate`` is not needed).
         """
-        self.graph.expire(int(tau) if tau != NEG_INF else 0)
-        lo = tau - self.window
+        nodes = tree.nodes
+        candidates = [key for key, node in nodes.items() if node.ts <= lo]
+        if not candidates:
+            return candidates
+        # Descendants of an expired node are expired too (child ts ≤
+        # parent ts), so every surviving node is a valid parent.
+        for key in candidates:
+            tree.remove(key)
         trans = self.dfa.trans
-        finals = self.dfa.finals
         in_adj = self.graph.in_adj
-        invalidated: set[tuple[str, str]] = set()
-        floors = self._floors
-        due = []
-        while floors and floors[0][0] <= lo:
-            due.append(heappop(floors)[1])
-        # Every tree with floor ≤ lo had an entry ≤ lo, so all were popped;
-        # dict.fromkeys drops duplicates and keeps pop order.
-        for x in dict.fromkeys(due):
-            tree = self.trees.get(x)
-            if tree is None or tree.floor > lo:
-                continue  # stale entry
-            nodes = tree.nodes
-            candidates = [key for key, node in nodes.items() if node.ts <= lo]
-            if not candidates:
-                # Tighten the bound only after an empty scan: after one that
-                # expired nodes, the old floor is still ≤ lo and still valid.
-                tree.floor = min(map(attrgetter("ts"), nodes.values()))
-                heappush(floors, (tree.floor, x))
-                continue
-            # Descendants of an expired node are expired too (child ts ≤
-            # parent ts), so every surviving node is a valid parent.
-            for key in candidates:
-                tree.remove(key)
-            seeds = []
-            for (v, t) in candidates:
-                self.expiry_scans += 1
-                for (uu, lbl), e_ts in in_adj.get(v, {}).items():
-                    for s in tree.states_of.get(uu, ()):
-                        if trans.get((s, lbl)) == t:
-                            seeds.append((min(e_ts, nodes[(uu, s)].ts), (uu, s), (v, t)))
-            reconnection_results: set[tuple[str, str]] = set()
-            if seeds:
-                self._insert(tree, seeds, reconnection_results)
-            # Maintain the reverse index and collect invalidations.
-            for (v, t) in candidates:
-                if (v, t) in nodes:
-                    continue
-                if t in finals:
-                    invalidated.add((x, v))
-                if not tree.states_of.get(v):
-                    roots = self.vertex_trees.get(v)
-                    if roots is not None:
-                        roots.discard(x)
-                        if not roots:
-                            del self.vertex_trees[v]
-            # Reconnection may discover pairs not previously reported.
-            self._report(reconnection_results, int(tau) if tau != NEG_INF else 0)
-            # Garbage-collect trees reduced to a bare root.
-            if tree.size == 1:
-                del self.trees[x]
-                roots = self.vertex_trees.get(x)
-                if roots is not None:
-                    roots.discard(x)
-                    if not roots:
-                        del self.vertex_trees[x]
-            else:  # floor unchanged and ≤ lo: due again at the next boundary
-                heappush(floors, (tree.floor, x))
-        if invalidate:
-            for x, v in invalidated:
-                if (x, v) in self.results and not self._derivable(x, v):
-                    del self.results[(x, v)]
-                    if self.on_result is not None:
-                        self.on_result(int(tau), x, v, "-")
-        return invalidated
+        seeds = []
+        for (v, t) in candidates:
+            self.expiry_scans += 1
+            for (uu, lbl), e_ts in in_adj.get(v, {}).items():
+                for s in tree.states_of.get(uu, ()):
+                    if trans.get((s, lbl)) == t:
+                        seeds.append((min(e_ts, nodes[(uu, s)].ts), (uu, s), (v, t)))
+        if seeds:
+            self._insert(tree, seeds, results)
+        return candidates
 
     def _derivable(self, x: str, v: str) -> bool:
         """Is ``(x, v)`` witnessed by a final-state node other than the root?
@@ -429,32 +274,21 @@ class RAPQEngine:
     # Algorithm Delete (§3.2)
     # ------------------------------------------------------------------
 
-    def _delete(self, u: str, v: str, label: str, tau: int) -> set[tuple[str, str]]:
-        """Process a negative tuple: mark affected subtrees expired, re-expire.
+    def _mark_deleted(self, tree: SpanningTree, u: str, v: str, label: str) -> bool:
+        """Mark with ``ts = −∞`` the subtree under each deleted tree edge.
 
-        A deleted edge matters only where it is a *tree edge* (Definition 13):
-        ``(v, t).pt == (u, s)`` with ``t = δ(s, label)``. The subtree under
-        each such ``(v, t)`` is marked with ``ts = −∞`` and the regular expiry
-        machinery reconnects or drops it.
+        The edge ``(u, v, label)`` is a tree edge of ``tree`` where
+        ``(v, t).pt == (u, s)`` with ``t = δ(s, label)`` (Definition 13).
+        Returns whether any subtree was marked.
         """
-        if not self.graph.delete(u, v, label):
-            return set()
-        touched = False
-        for x in list(self.vertex_trees.get(v, ())):
-            tree = self.trees.get(x)
-            if tree is None:
+        marked = False
+        for t in list(tree.states_of.get(v, ())):
+            node = tree.nodes.get((v, t))
+            if node is None or node.parent is None:
                 continue
-            for t in list(tree.states_of.get(v, ())):
-                node = tree.nodes.get((v, t))
-                if node is None or node.parent is None:
-                    continue
-                pu, ps = node.parent
-                if pu == u and self.dfa.delta(ps, label) == t:
-                    for key in tree.subtree_keys((v, t)):
-                        tree.nodes[key].ts = NEG_INF
-                    tree.floor = NEG_INF
-                    heappush(self._floors, (NEG_INF, x))
-                    touched = True
-        if not touched:
-            return set()
-        return self.expire(tau, invalidate=True)
+            pu, ps = node.parent
+            if pu == u and self.dfa.delta(ps, label) == t:
+                for key in tree.subtree_keys((v, t)):
+                    tree.nodes[key].ts = NEG_INF
+                marked = True
+        return marked

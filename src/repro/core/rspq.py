@@ -24,26 +24,34 @@ tests against the exhaustive simple-path oracle, see DESIGN.md):
 
 * check order in **Extend**: conflict first, then product-cycle
   (``t ∈ p[v]``), then the marking prune;
-* **ExpiryRSPQ** reconnects only *marked* expired keys (unmarked keys were
-  fully re-explored when they were unmarked — the paper's Line 6 rationale);
-  we skip the optional parent re-marking step (Lines 12–14), which affects
-  only pruning opportunity, never results.
+* **ExpiryRSPQ** (:meth:`RSPQEngine._expire_tree`) reconnects only
+  *marked* expired keys (unmarked keys were fully re-explored when they were
+  unmarked — the paper's Line 6 rationale). An occurrence does not record
+  which edge created it, so Delete also marks with −∞ an occurrence reached
+  over a parallel edge (another label driving the same transition) that
+  remains. The Line 6 rationale does not cover such an occurrence, so on the
+  deletion path each surviving parent of a pruned occurrence is first
+  re-extended over the window edges that still lead there. We skip the
+  optional parent re-marking step (Lines 12–14), which affects only pruning
+  opportunity, never results;
+* a new edge extends every live occurrence of its source, also one that
+  lazy expiry (β > 1) keeps past ``τ − |W|`` until the next boundary, so
+  that, as in RAPQ, the index derives exactly the pairs of its own window
+  graph.
+
+The per-tuple, expiry and Delete drivers are RAPQ's, shared through
+:class:`repro.core.engine.DeltaEngine`; occurrence timestamps obey the same
+child ≤ parent order as RAPQ's nodes, so the same per-tree floors apply.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from heapq import heappush
+from typing import Callable
 
-from ..rpq_oracle import Sgt
 from .dfa import DFA
-from .windows import WindowGraph, check_tuple
-
-INF = math.inf
-NEG_INF = -math.inf
-
-Key = tuple[str, int]
+from .engine import INF, NEG_INF, DeltaEngine, Key
 
 
 class BudgetExceeded(RuntimeError):
@@ -71,7 +79,7 @@ class _PathNode:
 class RSPQTree:
     """Spanning tree ``T_x`` with occurrence nodes and markings ``M_x``."""
 
-    __slots__ = ("root", "root_node", "occ", "marked", "by_vertex")
+    __slots__ = ("root", "root_node", "occ", "marked", "states_of", "floor")
 
     def __init__(self, root: str, start_state: int):
         self.root = root
@@ -80,20 +88,20 @@ class RSPQTree:
             (root, start_state): [self.root_node]
         }
         self.marked: set[Key] = set()
-        # vertex -> keys present (hash-based node lookup index, §5.1.1)
-        self.by_vertex: dict[str, set[Key]] = {root: {(root, start_state)}}
-
-    def occurrences(self, key: Key) -> list[_PathNode]:
-        return self.occ.get(key, [])
-
-    def vertex_keys(self, v: str) -> list[Key]:
-        return list(self.by_vertex.get(v, ()))
+        # vertex -> states it occurs in (hash-based node lookup index, §5.1.1)
+        self.states_of: dict[str, set[int]] = {root: {start_state}}
+        # Lower bound on every occurrence's ts (see ``SpanningTree.floor``).
+        # Occurrences never change ts, so only ``add_child`` and Delete's −∞
+        # marking have to lower it.
+        self.floor: float = INF
 
     def add_child(self, parent: _PathNode, key: Key, ts: float) -> _PathNode:
+        if ts < self.floor:
+            self.floor = ts
         node = _PathNode(key, ts, parent)
         parent.children.append(node)
         self.occ.setdefault(key, []).append(node)
-        self.by_vertex.setdefault(key[0], set()).add(key)
+        self.states_of.setdefault(key[0], set()).add(key[1])
         return node
 
     def detach(self, node: _PathNode) -> None:
@@ -111,19 +119,36 @@ class RSPQTree:
                 pass
             if not occs:
                 del self.occ[node.key]
-                keys = self.by_vertex.get(node.key[0])
-                if keys is not None:
-                    keys.discard(node.key)
-                    if not keys:
-                        del self.by_vertex[node.key[0]]
+                v, s = node.key
+                states = self.states_of.get(v)
+                if states is not None:
+                    states.discard(s)
+                    if not states:
+                        del self.states_of[v]
         node.dead = True
+
+    def subtree(self, node: _PathNode) -> list[_PathNode]:
+        """``node`` and all its descendants, each listed before its children."""
+        out = []
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            out.append(n)
+            stack.extend(n.children)
+        return out
+
+    def detach_subtree(self, node: _PathNode) -> None:
+        """Detach ``node`` and its whole subtree from the tree."""
+        for n in reversed(self.subtree(node)):  # leaves first
+            if not n.dead:
+                self.detach(n)
+
+    def tighten_floor(self) -> None:
+        self.floor = min(n.ts for occs in self.occ.values() for n in occs)
 
     @property
     def size(self) -> int:
         return sum(len(v) for v in self.occ.values())
-
-    def keys(self) -> Iterable[Key]:
-        return self.occ.keys()
 
 
 class _PathCtx:
@@ -159,13 +184,14 @@ class _PathCtx:
         return self.states_by_vertex.get(v, [])
 
 
-class RSPQEngine:
-    """Persistent RPQ evaluation under simple path semantics (§4).
+class RSPQEngine(DeltaEngine):
+    """Persistent RPQ evaluation under simple path semantics (§4): the
+    :class:`~repro.core.engine.DeltaEngine` parameters plus a per-tuple
+    Extend ``budget``; keeps conflict statistics. ``process`` raises
+    :class:`BudgetExceeded` on the tuple that overruns the budget and on
+    every call after it."""
 
-    Mirrors :class:`repro.core.rapq.RAPQEngine`'s interface: ``process``,
-    ``run``, ``derivable_pairs``, ``expire``; plus conflict statistics and a
-    per-tuple Extend budget.
-    """
+    tree_type = RSPQTree
 
     def __init__(
         self,
@@ -175,74 +201,24 @@ class RSPQEngine:
         budget: int | None = None,
         on_result: Callable[[int, str, str, str], None] | None = None,
     ):
-        self.dfa = dfa
-        self.window = window
-        self.slide = max(1, slide)
+        super().__init__(dfa, window, slide, on_result)
         self.budget = budget
         # Conflict cascades nest Extend/Unmark frames; the default CPython
         # limit (1000) is far too low for the NP-hard regime the budget caps.
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-        self.graph = WindowGraph(window)
-        self.trees: dict[str, RSPQTree] = {}
-        self.vertex_trees: dict[str, set[str]] = {}
-        self.results: dict[tuple[str, str], int] = {}
-        self.on_result = on_result
-        self._last_boundary = NEG_INF
-        self._tau: float = NEG_INF
         # metrics
         self.extend_calls = 0
         self.conflicts = 0
         self.unmark_calls = 0
         self._tuple_extend_calls = 0
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-
-    def process(self, sgt: Sgt) -> set[tuple[str, str]]:
-        """Consume one sgt; returns newly reported pairs.
-
-        Raises :class:`BudgetExceeded` when the per-tuple Extend budget is
-        exhausted (conflict-heavy executions; §4's NP-hard regime), and
-        ``ValueError`` on an unknown ``op`` or on a timestamp older than the
-        previous tuple's.
-        """
-        check_tuple(sgt, self._tau)
-        tau = self._tau = sgt.ts
+    def _begin_tuple(self) -> None:
+        """Start a tuple's Extend budget. A tuple that overran it stopped part
+        way, leaving the index inconsistent: the engine is then unusable and
+        every later call raises :class:`BudgetExceeded`."""
+        if self.budget is not None and self._tuple_extend_calls > self.budget:
+            raise BudgetExceeded("an earlier tuple exceeded the Extend budget; engine unusable")
         self._tuple_extend_calls = 0
-        boundary = (tau // self.slide) * self.slide
-        if boundary > self._last_boundary:
-            self._last_boundary = boundary
-            self.expire(boundary)
-        if sgt.op == "-":
-            self._delete(sgt.src, sgt.dst, sgt.label, tau)
-            return set()
-        if sgt.label not in self.dfa.alphabet:
-            return set()
-        self.graph.insert(sgt.src, sgt.dst, sgt.label, tau)
-        return self._process_edge(sgt.src, sgt.dst, sgt.label, tau)
-
-    def run(self, stream: Iterable[Sgt]) -> set[tuple[str, str]]:
-        for sgt in stream:
-            self.process(sgt)
-        return set(self.results)
-
-    def derivable_pairs(self) -> set[tuple[str, str]]:
-        """Pairs currently witnessed by a final-state occurrence node."""
-        out = set()
-        for x, tree in self.trees.items():
-            for (v, s) in tree.keys():
-                if s in self.dfa.finals and v != tree.root:
-                    out.add((x, v))
-        return out
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
-    @property
-    def n_nodes(self) -> int:
-        return sum(t.size for t in self.trees.values())
 
     # ------------------------------------------------------------------
     # Algorithm RSPQ (per-tuple traversal)
@@ -252,23 +228,20 @@ class RSPQEngine:
         self, u: str, v: str, label: str, tau: int
     ) -> set[tuple[str, str]]:
         results: set[tuple[str, str]] = set()
-        if label in self.dfa.start_labels and u not in self.trees:
-            self.trees[u] = RSPQTree(u, self.dfa.start)
-            self.vertex_trees.setdefault(u, set()).add(u)
-        lo = tau - self.window
         for x in list(self.vertex_trees.get(u, ())):
             tree = self.trees.get(x)
             if tree is None:
                 continue
-            for (uu, s) in tree.vertex_keys(u):
+            floor = tree.floor
+            for s in list(tree.states_of.get(u, ())):
                 t = self.dfa.delta(s, label)
                 if t is None:
                     continue
-                for node in list(tree.occurrences((u, s))):
-                    if node.dead or node.ts <= lo:
-                        continue
-                    self._extend(tree, node, (v, t), tau, results)
-        self._report(results, tau)
+                for node in list(tree.occ.get((u, s), ())):
+                    if not node.dead:
+                        self._extend(tree, node, (v, t), tau, results)
+            if tree.floor < floor:
+                heappush(self._floors, (tree.floor, x))
         return results
 
     # ------------------------------------------------------------------
@@ -352,133 +325,82 @@ class RSPQEngine:
             tree.marked.discard(cur.key)
             queue.append(cur.key)
             cur = cur.parent
-        for (v, t) in queue:
-            # Re-explore every window edge into v that was pruned because
-            # (v, t) was marked: extend each valid occurrence of a matching
-            # predecessor with (v, t).
-            for w, lbl, e_ts in list(self.graph.in_edges(v)):
-                for (wv, q2) in tree.vertex_keys(w):
-                    if self.dfa.delta(q2, lbl) != t:
-                        continue
-                    for pnode in list(tree.occurrences((w, q2))):
-                        if pnode.dead:
-                            continue
-                        self._extend(tree, pnode, (v, t), e_ts, results)
+        for key in queue:
+            self._reexplore(tree, key, results)
 
-    def _report(self, pairs: set[tuple[str, str]], tau: int) -> None:
-        for pair in pairs:
-            if pair not in self.results:
-                self.results[pair] = tau
-                if self.on_result is not None:
-                    self.on_result(tau, pair[0], pair[1], "+")
+    def _reexplore(self, tree: RSPQTree, key: Key, results: set[tuple[str, str]]) -> None:
+        """Extend every occurrence of a predecessor of ``key`` with ``key``,
+        over each window edge into ``key``'s vertex that drives the transition."""
+        v, t = key
+        for w, lbl, e_ts in list(self.graph.in_edges(v)):
+            for q in list(tree.states_of.get(w, ())):
+                if self.dfa.delta(q, lbl) != t:
+                    continue
+                for pnode in list(tree.occ.get((w, q), ())):
+                    if not pnode.dead:
+                        self._extend(tree, pnode, key, e_ts, results)
 
     # ------------------------------------------------------------------
     # Algorithm ExpiryRSPQ
     # ------------------------------------------------------------------
 
-    def expire(self, tau: float, invalidate: bool = False) -> set[tuple[str, str]]:
-        self.graph.expire(int(tau) if tau != NEG_INF else 0)
-        lo = tau - self.window
-        invalidated: set[tuple[str, str]] = set()
-        for x in list(self.trees):
-            tree = self.trees[x]
-            expired_nodes = [
-                n
-                for occs in tree.occ.values()
-                for n in occs
-                if n.ts <= lo and n.parent is not None
-            ]
-            if not expired_nodes:
-                continue
-            expired_keys = {n.key for n in expired_nodes}
-            was_marked = expired_keys & tree.marked
-            # Prune: drop every expired occurrence (subtrees of expired nodes
-            # are themselves expired since child.ts <= parent.ts).
-            for n in expired_nodes:
-                self.expiry_detach(tree, n)
-            tree.marked -= {k for k in expired_keys if k not in tree.occ}
-            # Reconnect marked keys that lost all occurrences: their pruned
-            # alternatives were never explored, so scan incoming edges.
-            reconnection_results: set[tuple[str, str]] = set()
-            for key in was_marked:
-                v, t = key
-                if key in tree.occ:
-                    continue
-                tree.marked.discard(key)
-                for w, lbl, e_ts in list(self.graph.in_edges(v)):
-                    for (wv, q2) in tree.vertex_keys(w):
-                        if self.dfa.delta(q2, lbl) != t:
-                            continue
-                        for pnode in list(tree.occurrences((w, q2))):
-                            if pnode.dead or pnode.ts <= lo:
-                                continue
-                            self._extend(tree, pnode, key, e_ts, reconnection_results)
-            self._report(reconnection_results, int(tau) if tau != NEG_INF else 0)
-            # Invalidations + reverse-index maintenance.
-            for key in expired_keys:
-                if key in tree.occ:
-                    continue
-                v, t = key
-                if t in self.dfa.finals:
-                    invalidated.add((x, v))
-                if not tree.by_vertex.get(v):
-                    roots = self.vertex_trees.get(v)
-                    if roots is not None:
-                        roots.discard(x)
-                        if not roots:
-                            del self.vertex_trees[v]
-            if tree.size == 1:
-                del self.trees[x]
-                roots = self.vertex_trees.get(x)
-                if roots is not None:
-                    roots.discard(x)
-                    if not roots:
-                        del self.vertex_trees[x]
-        if invalidate and invalidated:
-            still = self.derivable_pairs()
-            for x, v in invalidated:
-                if (x, v) in self.results and (x, v) not in still:
-                    del self.results[(x, v)]
-                    if self.on_result is not None:
-                        self.on_result(int(tau), x, v, "-")
-        return invalidated
+    def _expire_tree(
+        self, tree: RSPQTree, lo: float, invalidate: bool, results: set[tuple[str, str]]
+    ) -> set[Key]:
+        """**ExpiryRSPQ** on one tree; returns the keys of pruned occurrences.
 
-    def expiry_detach(self, tree: RSPQTree, node: _PathNode) -> None:
-        """Detach ``node`` and its whole subtree from the tree."""
-        stack = [node]
-        order = []
-        while stack:
-            n = stack.pop()
-            order.append(n)
-            stack.extend(n.children)
-        for n in reversed(order):  # leaves first
-            if not n.dead:
-                tree.detach(n)
+        Drops every occurrence with ``ts ≤ lo`` (its subtree is expired too,
+        since child ts ≤ parent ts) and reconnects the marked keys that lost
+        all their occurrences. On the deletion path (``invalidate``) it first
+        re-extends each surviving parent of a pruned occurrence over the
+        window edges that still drive it there (see the module docstring).
+        """
+        expired = [n for occs in tree.occ.values() for n in occs
+                   if n.ts <= lo and n.parent is not None]
+        if not expired:
+            return set()
+        pruned = {n.key for n in expired}
+        was_marked = pruned & tree.marked
+        # Pruned occurrences whose parent survives: the tops of Delete's marks.
+        cut = [(n.parent, n.key) for n in expired if n.parent.ts > lo] if invalidate else ()
+        for n in expired:
+            tree.detach_subtree(n)
+        tree.marked -= {k for k in pruned if k not in tree.occ}
+        for parent, (v, t) in cut:
+            # Delete cannot tell parallel edges that drive the same transition
+            # apart, so re-extend the parent over those that remain.
+            pv, ps = parent.key
+            for w, lbl, e_ts in list(self.graph.in_edges(v)):
+                if w == pv and self.dfa.delta(ps, lbl) == t:
+                    self._extend(tree, parent, (v, t), e_ts, results)
+        for key in was_marked:
+            if key not in tree.occ:
+                self._reexplore(tree, key, results)
+        return pruned
+
+    def _derivable(self, x: str, v: str) -> bool:
+        """Is ``(x, v)`` witnessed by a final-state occurrence at ``v ≠ x``?
+
+        Occurrences at the root vertex are never results (see :meth:`_extend`).
+        """
+        tree = self.trees.get(x)
+        if tree is None or v == x:
+            return False
+        return any(s in self.dfa.finals for s in tree.states_of.get(v, ()))
 
     # ------------------------------------------------------------------
     # Explicit deletions (§3.2 applied to RSPQ)
     # ------------------------------------------------------------------
 
-    def _delete(self, u: str, v: str, label: str, tau: int) -> set[tuple[str, str]]:
-        if not self.graph.delete(u, v, label):
-            return set()
-        touched = False
-        for x in list(self.vertex_trees.get(v, ())):
-            tree = self.trees.get(x)
-            if tree is None:
-                continue
-            for (vv, t) in tree.vertex_keys(v):
-                for node in list(tree.occurrences((v, t))):
-                    p = node.parent
-                    if p is None:
-                        continue
-                    if p.key[0] == u and self.dfa.delta(p.key[1], label) == t:
-                        stack = [node]
-                        while stack:
-                            n = stack.pop()
-                            n.ts = NEG_INF
-                            stack.extend(n.children)
-                        touched = True
-        if not touched:
-            return set()
-        return self.expire(tau, invalidate=True)
+    def _mark_deleted(self, tree: RSPQTree, u: str, v: str, label: str) -> bool:
+        """Mark with ``ts = −∞`` the subtree under each occurrence ``(v, t)``
+        whose parent is an occurrence ``(u, s)`` with ``δ(s, label) = t``."""
+        marked = False
+        for t in list(tree.states_of.get(v, ())):
+            for node in tree.occ.get((v, t), ()):
+                p = node.parent
+                if p is not None and p.key[0] == u and self.dfa.delta(p.key[1], label) == t:
+                    for n in tree.subtree(node):
+                        n.ts = NEG_INF
+                    marked = True
+        return marked

@@ -3,8 +3,12 @@
 Same harness as the RAPQ differential suite: random small streams, eager
 expiry (β=1), index-vs-batch-snapshot equality after each probe point and
 final append-only result equality against the union-of-snapshots reference.
-Graphs are kept tiny because the oracle enumerates all simple paths.
+The per-step suites compare after every tuple, also with deletions, parallel
+edges and lazy expiry (β > 1), and check the index's structure each time
+(:func:`check_rspq_index`). Graphs are kept tiny because the oracle
+enumerates all simple paths.
 """
+import math
 import random
 
 import pytest
@@ -105,3 +109,159 @@ def test_rspq_equals_rapq_on_acyclic_stream():
             rapq.process(t)
         assert set(rspq.results) == set(rapq.results)
         assert rspq.conflicts == 0
+
+
+def check_rspq_index(engine):
+    """Assert the RSPQ index's structural invariants.
+
+    Every occurrence hangs off its tree's root through symmetric parent and
+    children links, is live, and has a ts at most its parent's; its tree edge
+    is a window edge that drives the DFA transition, with a ts at least the
+    occurrence's. ``occ`` lists exactly those occurrences; ``states_of``,
+    ``marked`` (a marked key occurs once) and ``vertex_trees`` agree with
+    it. Each tree's ``floor`` is at most its occurrences' ts, and each finite
+    floor has a floor-heap entry at or below it.
+    """
+    dfa, edges = engine.dfa, engine.graph.edges
+    lowest_entry: dict = {}
+    for f, x in engine._floors:
+        lowest_entry[x] = min(f, lowest_entry.get(x, math.inf))
+    vertex_trees: dict = {}
+    for x, tree in engine.trees.items():
+        root = tree.root_node
+        assert tree.root == x and root.key == (x, dfa.start)
+        assert root.parent is None and root.ts == math.inf
+        reached, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            reached.append(node)
+            assert not node.dead, f"T_{x}: dead {node} still linked"
+            pu, ps = node.key
+            for c in node.children:
+                assert c.parent is node, f"T_{x}: {c} listed under {node}"
+                assert c.ts <= node.ts, f"T_{x}: {c} above its parent {node}"
+                v, t = c.key
+                assert any(
+                    dfa.delta(ps, lbl) == t and edges.get((pu, v, lbl), -math.inf) >= c.ts
+                    for lbl in dfa.alphabet
+                ), f"T_{x}: tree edge {node.key}->{c.key} is not a window edge"
+                stack.append(c)
+        listed = [n for occs in tree.occ.values() for n in occs]
+        assert all(n.key == key for key, occs in tree.occ.items() for n in occs)
+        assert sorted(map(id, listed)) == sorted(map(id, reached)), f"T_{x}: occ differs from the tree"
+        assert tree.floor <= min(n.ts for n in listed), f"T_{x}: floor too high"
+        if tree.floor < math.inf:
+            assert lowest_entry.get(x, math.inf) <= tree.floor, f"T_{x}: no heap entry for its floor"
+        states_of: dict = {}
+        for v, s in tree.occ:
+            states_of.setdefault(v, set()).add(s)
+            vertex_trees.setdefault(v, set()).add(x)
+        assert tree.states_of == states_of
+        assert all(len(tree.occ.get(key, ())) == 1 for key in tree.marked), f"T_{x}: bad marking"
+    assert engine.vertex_trees == vertex_trees
+
+
+def replay_per_step(query_text, stream, window, slide=1):
+    """Replay ``stream``; after every tuple the index is well formed and
+    derives exactly the simple-path pairs of its own window graph. That graph
+    (query labels only) lies between the eager snapshot and the one of the
+    last boundary's window; with β = 1 it is the snapshot."""
+    dfa = compile_regex(parse(query_text))
+    engine = RSPQEngine(dfa, window=window, slide=slide, budget=2_000_000)
+    for i, t in enumerate(stream):
+        engine.process(t)
+        check_rspq_index(engine)
+        held = engine.graph.edge_set()
+        lag = t.ts - (t.ts // slide) * slide
+        eager, stale = (
+            {e for e in snapshot_edges(stream[: i + 1], t.ts, w) if e[2] in dfa.alphabet}
+            for w in (window, window + lag)
+        )
+        assert eager <= held <= stale
+        got, expected = engine.derivable_pairs(), rspq_pairs(held, dfa)
+        assert got == expected, (
+            f"{query_text} step {i} {t}: index={sorted(got)} batch={sorted(expected)} "
+            f"held={sorted(held)}"
+        )
+    return engine
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("seed", range(5))
+def test_append_only_per_step(query, seed):
+    """The append-only suite's streams, checked after every tuple."""
+    stream = random_stream(seed * 7919 + 13, n=35, n_vertices=5)
+    replay_per_step(query, stream, window=[8, 15, 30][seed % 3])
+
+
+@pytest.mark.parametrize("query", ["a*", "(a|b|c)+", "(a b)+", "a b c", "a* b*", "a b* c"])
+@pytest.mark.parametrize("seed", range(6))
+def test_with_explicit_deletions_per_step(query, seed):
+    """The deletion suite's streams, checked after every tuple."""
+    stream = random_stream((seed + 100) * 7919 + 13, n=40, n_vertices=5, delete_prob=0.25)
+    replay_per_step(query, stream, window=[10, 20][seed % 2])
+
+
+@pytest.mark.parametrize("seed", [1008, 1035, 1046, 1047, 1096, 2068])
+def test_deletions_keep_valid_results_per_step(seed):
+    """Streams on which deletions used to lose valid pairs: Delete also
+    prunes occurrences reached over a parallel edge that remains, and only
+    marked keys were reconnected. In 2068 the lost occurrence's key kept an
+    older occurrence, so it was lost only when that one expired."""
+    stream = random_stream(seed, n=40, n_vertices=5, delete_prob=0.2)
+    replay_per_step("(a|b|c)+", stream, window=10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parallel_edges_per_step(seed):
+    """Three vertices and two labels that both drive (a|b)+: parallel edges
+    are frequent, and deletions remove one of a pair."""
+    stream = random_stream(seed, n=50, n_vertices=3, labels=("a", "b"), delete_prob=0.25)
+    replay_per_step("(a|b)+", stream, window=10)
+
+
+def test_deleting_one_parallel_edge_keeps_the_other():
+    """x→y over a and b, (y,1) unmarked with an older occurrence below w:
+    deleting x→y:a must keep the occurrence x→y:b supports, so (x, y) outlives
+    the w path's expiry."""
+    stream = [
+        Sgt(1, "x", "w", "a"),
+        Sgt(1, "w", "y", "a"),
+        Sgt(2, "y", "x", "a"),  # conflict at x: unmarks (y,1) and (w,1)
+        Sgt(5, "x", "y", "b"),
+        Sgt(6, "x", "y", "a"),
+        Sgt(7, "x", "y", "a", "-"),
+        Sgt(11, "p", "q", "a"),  # lo = 1: the w path expires
+        Sgt(14, "p", "q", "a"),
+    ]
+    engine = replay_per_step("(a|b)+", stream, window=10)
+    assert ("x", "y") in engine.derivable_pairs()
+
+
+@pytest.mark.parametrize("slide", [2, 5])
+@pytest.mark.parametrize("query", ["a b*", "(a|b|c)+", "(a b)+", "a* b*"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_expiry_per_step(slide, query, seed):
+    """β > 1, with deletions: the index tracks its own window graph."""
+    stream = random_stream(seed, n=50, n_vertices=5, delete_prob=0.15)
+    replay_per_step(query, stream, window=12, slide=slide)
+
+
+class _UniterableTrees(dict):
+    """An engine's tree map that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("expiry iterated every tree")
+
+    keys = values = items = __iter__
+
+
+def test_boundary_expiry_visits_only_due_trees():
+    dfa = compile_regex(parse("a+"))
+    engine = RSPQEngine(dfa, window=10, slide=1)
+    engine.process(Sgt(1, "x", "y", "a"))
+    engine.process(Sgt(2, "p", "q", "a"))
+    engine.trees = _UniterableTrees(engine.trees)
+    engine.process(Sgt(5, "y", "z", "b"))  # boundary, lo = -5: no tree is due
+    engine.expire(11)  # lo = 1: only T_x is due, reached without a sweep
+    assert set(dict.keys(engine.trees)) == {"p"}

@@ -122,6 +122,25 @@ class TestMarkings:
             for t in stream:
                 e.process(t)
 
+    def test_engine_unusable_after_budget_exceeded(self):
+        """A tuple that overran the budget left the index half-updated: every
+        later ``process`` call raises, whatever the tuple."""
+        e = engine_for("(a b)+", window=1000, budget=3)
+        stream = [
+            Sgt(1, "v0", "v1", "a"),
+            Sgt(2, "v1", "v2", "b"),
+            Sgt(3, "v2", "v0", "a"),
+            Sgt(4, "v0", "v2", "b"),
+            Sgt(5, "v2", "v1", "a"),
+            Sgt(6, "v1", "v0", "b"),
+        ]
+        with pytest.raises(BudgetExceeded):
+            for t in stream:
+                e.process(t)
+        for t in [Sgt(9, "p", "q", "a"), Sgt(9, "p", "q", "zzz"), Sgt(10, "v0", "v1", "a", "-")]:
+            with pytest.raises(BudgetExceeded, match="unusable"):
+                e.process(t)
+
     def test_extend_counter_grows(self):
         e = engine_for("a*")
         e.process(Sgt(1, "x", "y", "a"))
