@@ -33,10 +33,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+import time
 import zipfile
+import zipimport
 import zlib
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from pyspark import AccumulatorParam, SparkContext, SparkFiles
 from pyspark.sql import DataFrame, SparkSession
@@ -93,10 +97,60 @@ class _ListParam(AccumulatorParam):
         return a
 
 
+def _skip_unchanged_zip_rereads() -> None:
+    """Make ``zipimporter.invalidate_caches`` re-read only changed archives.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` at the start of
+    every task. Before Python 3.12 (gh-103200 made it lazy), each
+    ``zipimporter`` on ``sys.path`` then re-parses its whole archive's central
+    directory: with ``pyspark.zip``, the Spark jar and py4j that is about
+    27k entries, some 0.25 s per task. The wrapper re-reads an archive only
+    when its ``(st_mtime_ns, st_size)`` differs from its last read, so a
+    re-shipped archive is still picked up. Installed once per process, from
+    the functions that run in the workers. The first task of each worker
+    still pays the full re-read; the next one reads each archive once, since
+    importers over one archive share its directory; later tasks of a reused
+    worker read nothing.
+    """
+    read = zipimport.zipimporter.invalidate_caches
+    if sys.version_info >= (3, 12) or getattr(read, "skips_unchanged", False):
+        return
+    read_at: dict[str, tuple[int, int]] = {}  # archive -> stat key of its last read
+
+    def invalidate_caches(self):
+        try:
+            st = os.stat(self.archive)
+        except OSError:
+            read_at.pop(self.archive, None)
+            return read(self)
+        key = (st.st_mtime_ns, st.st_size)
+        files = zipimport._zip_directory_cache.get(self.archive)
+        if files is not None and read_at.get(self.archive) == key:
+            self._files = files
+            return
+        read(self)
+        read_at[self.archive] = key
+
+    invalidate_caches.skips_unchanged = True
+    zipimport.zipimporter.invalidate_caches = invalidate_caches
+
+
 def _advance(engines, sgts, rows):
+    """Advance each shard engine of a partition by ``sgts``; yield it.
+
+    Consumes the whole partition. PySpark reuses a Python worker only after a
+    task has read all of its input; a worker that stops early is replaced by
+    a fresh one, which re-installs the zip guard and pays its first re-read.
+    """
+    _skip_unchanged_zip_rereads()
     for engine in engines:
         rows.add(engine.advance(sgts))
         yield engine
+
+
+def _derivable_pairs(engine: ShardEngine) -> set[tuple[str, str]]:
+    _skip_unchanged_zip_rereads()
+    return engine.derivable_pairs()
 
 
 def _ship_package(sc: SparkContext) -> None:
@@ -111,6 +165,14 @@ def _ship_package(sc: SparkContext) -> None:
     sc.addPyFile(path)
 
 
+class BatchTimes(NamedTuple):
+    """Where one micro-batch's time went, in seconds, and its row count."""
+
+    collect_s: float  # collecting, sorting and checking the batch on the driver
+    state_job_s: float  # the mapPartitions job that advances the shards
+    rows: int  # result rows appended
+
+
 class IncrementalRPQ:
     """Micro-batch incremental RPQ evaluation over a sliding window."""
 
@@ -123,31 +185,41 @@ class IncrementalRPQ:
         self.rows: list[ResultRow] = []
         self.watermark: float = -math.inf
         self.closure_rounds = 0  # state-advancing Spark jobs
+        self.batch_times: list[BatchTimes] = []  # one per completed batch
 
     def process_batch(self, batch: DataFrame) -> list[ResultRow]:
         """Consume one micro-batch of sgts; returns the newly appended rows.
 
         ``batch`` columns: ``ts, src, dst, label, op``. Raises ``ValueError``
         on an unknown ``op`` or a timestamp before the previous watermark
-        (in-order streams, paper §2).
+        (in-order streams, paper §2). If the state job fails, the watermark
+        and the state stay as they were, so the batch can be retried.
         """
+        t0 = time.perf_counter()
         cols = batch.select("ts", "src", "dst", "label", "op").collect()
         sgts = sorted(map(tuple, cols), key=itemgetter(0))
-        if not sgts:
-            return []
         for t in sgts:
             check_tuple(Sgt(*t), self.watermark)
-        self.watermark = sgts[-1][0]
+        t1 = time.perf_counter()
+        if not sgts:
+            self.batch_times.append(BatchTimes(t1 - t0, 0.0, 0))
+            return []
         acc = self._new_rows
         acc.value = []
         new = self.state.mapPartitions(lambda engines: _advance(engines, sgts, acc))
         new.persist().localCheckpoint()
-        new._jrdd.count()  # runs the job in the JVM, without a Python pass
+        try:
+            new._jrdd.count()  # runs the job in the JVM, without a Python pass
+        except BaseException:
+            new.unpersist()
+            raise
         rows = acc.value
+        self.watermark = sgts[-1][0]
         self.state.unpersist()
         self.state = new
         self.closure_rounds += 1
         self.rows += rows
+        self.batch_times.append(BatchTimes(t1 - t0, time.perf_counter() - t1, len(rows)))
         return rows
 
     def results(self) -> set[tuple[str, str]]:
@@ -156,4 +228,4 @@ class IncrementalRPQ:
 
     def derivable_pairs(self) -> set[tuple[str, str]]:
         """Pairs witnessed by the current state (the last watermark's snapshot)."""
-        return set(self.state.flatMap(lambda e: e.derivable_pairs()).collect())
+        return set(self.state.flatMap(_derivable_pairs).collect())

@@ -1,5 +1,6 @@
 """Incremental dataflow engine vs oracles, per micro-batch granularity."""
 import pytest
+from py4j.protocol import Py4JJavaError
 
 from repro.core.dfa import compile_regex
 from repro.core.regex import parse
@@ -92,6 +93,19 @@ class TestIncrementalAppendOnly:
         assert engine.results() == set()
 
 
+class TestBatchTimes:
+    def test_one_record_per_batch_with_its_rows(self, spark):
+        engine = IncrementalRPQ(spark, compile_regex(parse("a b*")), window=10)
+        returned = [
+            engine.process_batch(to_batch_df(spark, STREAM_A[i : i + 3]))
+            for i in range(0, 9, 3)
+        ]
+        returned.append(engine.process_batch(to_batch_df(spark, [])))
+        assert [b.rows for b in engine.batch_times] == [len(r) for r in returned]
+        assert sum(map(len, returned)) > 0
+        assert all(b.collect_s > 0 and b.state_job_s >= 0 for b in engine.batch_times)
+
+
 class TestIncrementalDeletions:
     def test_delete_removes_derivation(self, spark):
         dfa = compile_regex(parse("a b"))
@@ -161,6 +175,23 @@ class TestMalformedInput:
             engine.process_batch(to_batch_df(spark, [bad]))
         assert engine.closure_rounds == 1
         engine.process_batch(to_batch_df(spark, [Sgt(7, "p", "q", "a")]))
+        assert engine.results() == engine.derivable_pairs() == {("x", "y"), ("p", "q")}
+
+    def test_failed_state_job_keeps_watermark_for_retry(self, spark):
+        """A state job that fails moves neither the watermark nor the state."""
+        sc = spark.sparkContext
+        engine = IncrementalRPQ(spark, compile_regex(parse("a")), window=10)
+        engine.process_batch(to_batch_df(spark, [Sgt(5, "x", "y", "a")]))
+        state = engine.state
+        engine.state = sc.parallelize([object()], 1)  # no advance
+        batch = to_batch_df(spark, [Sgt(7, "p", "q", "a")])
+        persisted = len(sc._jsc.getPersistentRDDs())
+        with pytest.raises(Py4JJavaError):
+            engine.process_batch(batch)
+        assert engine.watermark == 5 and engine.closure_rounds == 1
+        assert len(sc._jsc.getPersistentRDDs()) == persisted  # the failed state is dropped
+        engine.state = state
+        assert engine.process_batch(batch) == [("p", "q", 7)]
         assert engine.results() == engine.derivable_pairs() == {("x", "y"), ("p", "q")}
 
     def test_empty_batch_returns_nothing(self, spark):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.dfa import compile_regex
 from repro.core.regex import parse
+from repro.dataflow import incremental
 from repro.dataflow.incremental import ShardEngine, shard_of
 from repro.rpq_oracle import rapq_pairs
 
@@ -57,3 +58,18 @@ def test_shards_match_oracle_for_any_shard_count(seed, batch_size):
             assert ts == min(
                 best[(y, s)] for s in dfa.finals if (y, s) in best and (y, s) != (x, dfa.start)
             ), f"batch {k}: ({x}, {y})"
+
+
+def test_advance_drains_its_partition(monkeypatch):
+    """A task reads its whole partition, so PySpark may reuse its worker."""
+    monkeypatch.setattr(incremental, "_skip_unchanged_zip_rereads", lambda: None)
+
+    class Rows(list):
+        add = list.extend
+
+    dfa = compile_regex(parse("a b"))
+    shards = [ShardEngine(dfa, WINDOW, i, 2) for i in range(2)]
+    engines, rows = iter(shards), Rows()
+    out = list(incremental._advance(engines, [(1, "x", "y", "a", "+"), (2, "y", "z", "b", "+")], rows))
+    assert out == shards and next(engines, None) is None
+    assert rows == [("x", "z", 1)]
