@@ -29,6 +29,27 @@ NEG_INF = -math.inf
 Key = tuple[str, int]  # (vertex, automaton state)
 
 
+def below_tops(tops, root, members, parent_of: Callable) -> list:
+    """The ``members`` whose parent chain meets one of ``tops`` (tops included).
+
+    Trees store each tree edge once, as the child's parent pointer
+    (Definition 12), so Delete finds the subtrees under its deleted tree
+    edges by walking up: each member's chain is followed until it meets a
+    top, the ``root`` or a member already resolved, and the whole walked
+    chain takes that answer. Every member is resolved once: O(tree size).
+    """
+    hit = dict.fromkeys(tops, True)
+    hit[root] = False
+    for m in members:
+        chain = []
+        while m not in hit:
+            chain.append(m)
+            m = parent_of(m)
+        if chain:
+            hit.update(dict.fromkeys(chain, hit[m]))
+    return [m for m, below in hit.items() if below]
+
+
 class DeltaEngine:
     """Persistent RPQ evaluation over a sliding window with a Δ-tree index.
 
@@ -223,8 +244,9 @@ class DeltaEngine:
 
         A deleted edge matters only where it is a *tree edge* (Definition
         13). The subclass marks the subtree under each such edge with
-        ``ts = −∞``; the tree's floor drops to −∞, so the regular expiry
-        machinery visits it and reconnects or drops the marked nodes.
+        ``ts = −∞``, found by :func:`below_tops`; the tree's floor drops to
+        −∞, so the regular expiry machinery visits it and reconnects or
+        drops the marked nodes.
         """
         if not self.graph.delete(u, v, label):
             return set()

@@ -13,37 +13,43 @@ on the engine skeleton of :mod:`repro.core.engine`:
   driver :meth:`~repro.core.engine.DeltaEngine.expire` visits only the trees
   whose timestamp floor (``SpanningTree.floor``) is due;
 * **Delete** (:meth:`RAPQEngine._mark_deleted`) — explicit deletions via
-  negative tuples: mark the subtree under a deleted tree edge and let the
-  shared expiry machinery reconnect or drop it (§3.2).
+  negative tuples: mark the subtree under a deleted tree edge, found by
+  walking parent pointers (:func:`~repro.core.engine.below_tops`), and let
+  the shared expiry machinery reconnect or drop it (§3.2).
 
-Each tree node ``(v, s)`` stores the timestamp of its best witnessing path
-from the root ``(x, s0)``: the maximum, over the paths in the window, of the
-minimum edge timestamp along the path (Definition 9, §3.1). Insert pops its
-worklist maximum-timestamp-first, so a node's first improvement in a tuple is
-already its best one; reconnection after expiry runs the same routine from
-every surviving in-edge at once. The differential tests verify the resulting
-invariant after every tuple: after expiry at time τ the index derives exactly
-the batch result on the snapshot ``G_{W,τ}``.
+Each tree node ``(v, s)`` stores its parent pointer ``(v, s).pt``, the only
+record of its tree edge (Definition 12), and the timestamp of its best
+witnessing path from the root ``(x, s0)``: the maximum, over the paths in
+the window, of the minimum edge timestamp along the path (Definition 9,
+§3.1). Insert pops its worklist maximum-timestamp-first, so a node's first
+improvement in a tuple is already its best one; reconnection after expiry
+runs the same routine from every surviving in-edge at once. The
+differential tests verify the resulting invariant after every tuple: after
+expiry at time τ the index derives exactly the batch result on the snapshot
+``G_{W,τ}``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Callable
 
 from .dfa import DFA
-from .engine import INF, NEG_INF, DeltaEngine, Key
+from .engine import INF, NEG_INF, DeltaEngine, Key, below_tops
 
 
 @dataclass(slots=True)
 class _Node:
-    """A Δ-index tree node: vertex-state pair with parent pointer and ts."""
+    """A Δ-index tree node: vertex-state pair with parent pointer and ts.
+
+    The parent pointer ``(v, t).pt`` is the only record of the tree edge
+    (Definition 12); nodes hold no child links.
+    """
 
     key: Key
     ts: float
     parent: Key | None
-    children: set[Key] = field(default_factory=set)
 
 
 class SpanningTree:
@@ -69,21 +75,15 @@ class SpanningTree:
             self.floor = ts
         node = _Node(key, ts, parent)
         self.nodes[key] = node
-        self.nodes[parent].children.add(key)
         self.states_of.setdefault(key[0], set()).add(key[1])
         return node
 
     def relink(self, node: _Node, new_parent: Key, ts: float) -> None:
-        if node.parent is not None and node.parent in self.nodes:
-            self.nodes[node.parent].children.discard(node.key)
         node.parent = new_parent
         node.ts = ts
-        self.nodes[new_parent].children.add(node.key)
 
     def remove(self, key: Key) -> None:
-        node = self.nodes.pop(key)
-        if node.parent is not None and node.parent in self.nodes:
-            self.nodes[node.parent].children.discard(key)
+        del self.nodes[key]
         states = self.states_of.get(key[0])
         if states is not None:
             states.discard(key[1])
@@ -92,17 +92,6 @@ class SpanningTree:
 
     def tighten_floor(self) -> None:
         self.floor = min(map(attrgetter("ts"), self.nodes.values()))
-
-    def subtree_keys(self, key: Key) -> list[Key]:
-        """All keys in the subtree rooted at ``key`` (including it)."""
-        out = [key]
-        stack = [key]
-        while stack:
-            k = stack.pop()
-            for c in self.nodes[k].children:
-                out.append(c)
-                stack.append(c)
-        return out
 
     @property
     def size(self) -> int:
@@ -281,14 +270,14 @@ class RAPQEngine(DeltaEngine):
         ``(v, t).pt == (u, s)`` with ``t = δ(s, label)`` (Definition 13).
         Returns whether any subtree was marked.
         """
-        marked = False
-        for t in list(tree.states_of.get(v, ())):
-            node = tree.nodes.get((v, t))
-            if node is None or node.parent is None:
-                continue
-            pu, ps = node.parent
-            if pu == u and self.dfa.delta(ps, label) == t:
-                for key in tree.subtree_keys((v, t)):
-                    tree.nodes[key].ts = NEG_INF
-                marked = True
-        return marked
+        nodes = tree.nodes
+        tops = []
+        for t in tree.states_of.get(v, ()):
+            parent = nodes[(v, t)].parent
+            if parent is not None and parent[0] == u and self.dfa.delta(parent[1], label) == t:
+                tops.append((v, t))
+        if not tops:
+            return False
+        for key in below_tops(tops, tree.root_key, nodes, lambda k: nodes[k].parent):
+            nodes[key].ts = NEG_INF
+        return True

@@ -41,17 +41,23 @@ tests against the exhaustive simple-path oracle, see DESIGN.md):
 
 The per-tuple, expiry and Delete drivers are RAPQ's, shared through
 :class:`repro.core.engine.DeltaEngine`; occurrence timestamps obey the same
-child ≤ parent order as RAPQ's nodes, so the same per-tree floors apply.
+child ≤ parent order as RAPQ's nodes, so the same per-tree floors apply. As
+in RAPQ, each tree edge is stored once, as the occurrence's parent pointer:
+Delete finds the subtrees to mark by walking those pointers up
+(:func:`~repro.core.engine.below_tops`), and ExpiryRSPQ detaches the
+expired occurrences one by one, since they already include every expired
+occurrence's descendants.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
+from operator import attrgetter
 from typing import Callable
 
 from .dfa import DFA
-from .engine import INF, NEG_INF, DeltaEngine, Key
+from .engine import INF, NEG_INF, DeltaEngine, Key, below_tops
 
 
 class BudgetExceeded(RuntimeError):
@@ -62,17 +68,17 @@ class BudgetExceeded(RuntimeError):
 class _PathNode:
     """One occurrence of a ``(v, s)`` key on a root-to-leaf path.
 
-    ``eq=False``: nodes compare by identity — structural equality would
-    recurse through the parent/children links.
+    The parent pointer is the only record of the tree edge; occurrences
+    hold no child links. ``eq=False``: nodes compare and hash by identity,
+    so Delete's parent walk can key a dict by occurrence.
     """
 
     key: Key
     ts: float
     parent: "_PathNode | None"
-    children: list["_PathNode"] = field(default_factory=list)
     dead: bool = False  # detached during expiry
 
-    def __repr__(self) -> str:  # non-recursive (parent/children omitted)
+    def __repr__(self) -> str:  # non-recursive (parent omitted)
         return f"_PathNode({self.key}, ts={self.ts}, dead={self.dead})"
 
 
@@ -99,49 +105,22 @@ class RSPQTree:
         if ts < self.floor:
             self.floor = ts
         node = _PathNode(key, ts, parent)
-        parent.children.append(node)
         self.occ.setdefault(key, []).append(node)
         self.states_of.setdefault(key[0], set()).add(key[1])
         return node
 
     def detach(self, node: _PathNode) -> None:
-        """Remove one occurrence node (its subtree must be handled first)."""
-        if node.parent is not None:
-            try:
-                node.parent.children.remove(node)
-            except ValueError:
-                pass
-        occs = self.occ.get(node.key)
-        if occs is not None:
-            try:
-                occs.remove(node)
-            except ValueError:
-                pass
-            if not occs:
-                del self.occ[node.key]
-                v, s = node.key
-                states = self.states_of.get(v)
-                if states is not None:
-                    states.discard(s)
-                    if not states:
-                        del self.states_of[v]
+        """Remove one live occurrence node; its descendants must go too."""
+        occs = self.occ[node.key]
+        occs.remove(node)
+        if not occs:
+            del self.occ[node.key]
+            v, s = node.key
+            states = self.states_of[v]
+            states.discard(s)
+            if not states:
+                del self.states_of[v]
         node.dead = True
-
-    def subtree(self, node: _PathNode) -> list[_PathNode]:
-        """``node`` and all its descendants, each listed before its children."""
-        out = []
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            out.append(n)
-            stack.extend(n.children)
-        return out
-
-    def detach_subtree(self, node: _PathNode) -> None:
-        """Detach ``node`` and its whole subtree from the tree."""
-        for n in reversed(self.subtree(node)):  # leaves first
-            if not n.dead:
-                self.detach(n)
 
     def tighten_floor(self) -> None:
         self.floor = min(n.ts for occs in self.occ.values() for n in occs)
@@ -349,9 +328,10 @@ class RSPQEngine(DeltaEngine):
     ) -> set[Key]:
         """**ExpiryRSPQ** on one tree; returns the keys of pruned occurrences.
 
-        Drops every occurrence with ``ts ≤ lo`` (its subtree is expired too,
-        since child ts ≤ parent ts) and reconnects the marked keys that lost
-        all their occurrences. On the deletion path (``invalidate``) it first
+        Detaches every occurrence with ``ts ≤ lo``, which includes each
+        one's whole subtree (child ts ≤ parent ts, and Delete marks whole
+        subtrees −∞), then reconnects the marked keys that lost all their
+        occurrences. On the deletion path (``invalidate``) it first
         re-extends each surviving parent of a pruned occurrence over the
         window edges that still drive it there (see the module docstring).
         """
@@ -364,7 +344,7 @@ class RSPQEngine(DeltaEngine):
         # Pruned occurrences whose parent survives: the tops of Delete's marks.
         cut = [(n.parent, n.key) for n in expired if n.parent.ts > lo] if invalidate else ()
         for n in expired:
-            tree.detach_subtree(n)
+            tree.detach(n)
         tree.marked -= {k for k in pruned if k not in tree.occ}
         for parent, (v, t) in cut:
             # Delete cannot tell parallel edges that drive the same transition
@@ -395,12 +375,16 @@ class RSPQEngine(DeltaEngine):
     def _mark_deleted(self, tree: RSPQTree, u: str, v: str, label: str) -> bool:
         """Mark with ``ts = −∞`` the subtree under each occurrence ``(v, t)``
         whose parent is an occurrence ``(u, s)`` with ``δ(s, label) = t``."""
-        marked = False
-        for t in list(tree.states_of.get(v, ())):
-            for node in tree.occ.get((v, t), ()):
-                p = node.parent
-                if p is not None and p.key[0] == u and self.dfa.delta(p.key[1], label) == t:
-                    for n in tree.subtree(node):
-                        n.ts = NEG_INF
-                    marked = True
-        return marked
+        tops = [
+            node
+            for t in tree.states_of.get(v, ())
+            for node in tree.occ[(v, t)]
+            if (p := node.parent) is not None
+            and p.key[0] == u and self.dfa.delta(p.key[1], label) == t
+        ]
+        if not tops:
+            return False
+        members = (n for occs in tree.occ.values() for n in occs)
+        for n in below_tops(tops, tree.root_node, members, attrgetter("parent")):
+            n.ts = NEG_INF
+        return True

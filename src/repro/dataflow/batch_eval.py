@@ -30,12 +30,7 @@ def batch_rapq(edges: DataFrame, dfa: DFA, max_iterations: int = 200) -> DataFra
     when a cycle reaches ``x`` in a non-start final state (engine-faithful
     semantics, DESIGN.md).
     """
-    pe = (
-        product_edges(edges, dfa)
-        .select("src_v", "src_s", "dst_v", "dst_s")
-        .distinct()
-        .localCheckpoint(eager=True)
-    )
+    pe = product_edges(edges, dfa).distinct().localCheckpoint(eager=True)
     # Seed: one hop from every (x, s0).
     reach = (
         pe.filter(F.col("src_s") == dfa.start)
@@ -76,11 +71,6 @@ def batch_rapq(edges: DataFrame, dfa: DFA, max_iterations: int = 200) -> DataFra
         .select("x", F.col("v").alias("y"))
         .distinct()
     )
-
-
-def batch_rapq_counts(edges: DataFrame, dfa: DFA) -> int:
-    """Result cardinality of :func:`batch_rapq` (benchmark helper)."""
-    return batch_rapq(edges, dfa).count()
 
 
 def windowed_recompute(

@@ -11,7 +11,6 @@ from pyspark.sql import functions as F
 
 from ..core.dfa import DFA
 
-EDGE_SCHEMA = "src STRING, dst STRING, label STRING, ts LONG"
 SGT_SCHEMA = "ts LONG, src STRING, dst STRING, label STRING, op STRING"
 
 
@@ -23,31 +22,21 @@ def transitions_df(spark: SparkSession, dfa: DFA) -> DataFrame:
 
 
 def product_edges(edges: DataFrame, dfa: DFA) -> DataFrame:
-    """Join edges with δ: rows ``(src_v, src_s, dst_v, dst_s[, ts])``.
+    """Join edges with δ: rows ``(src_v, src_s, dst_v, dst_s)``.
 
-    ``edges`` must have columns ``src, dst, label`` and may carry ``ts``;
-    ``ts`` is propagated when present. Labels outside Σ_Q drop out of the
-    inner join, mirroring the engines' tuple discarding.
+    ``edges`` needs columns ``src, dst, label``. Labels outside Σ_Q drop out
+    of the inner join, mirroring the engines' tuple discarding.
     """
-    spark = edges.sparkSession
-    trans = transitions_df(spark, dfa)
-    cols = [
+    trans = transitions_df(edges.sparkSession, dfa)
+    return edges.join(trans, on="label").select(
         F.col("src").alias("src_v"),
         F.col("src_s"),
         F.col("dst").alias("dst_v"),
         F.col("dst_s"),
-    ]
-    if "ts" in edges.columns:
-        cols.append(F.col("ts"))
-    return edges.join(trans, on="label").select(*cols)
+    )
 
 
-def edges_df(spark: SparkSession, edges, with_ts: bool = False) -> DataFrame:
-    """Build an edge DataFrame from ``(src, dst, label)`` or sgt-like tuples."""
-    if with_ts:
-        rows = [(int(ts), str(u), str(v), str(l)) for ts, u, v, l in edges]
-        return spark.createDataFrame(
-            rows, "ts LONG, src STRING, dst STRING, label STRING"
-        )
+def edges_df(spark: SparkSession, edges) -> DataFrame:
+    """Build an edge DataFrame from ``(src, dst, label)`` tuples."""
     rows = [(str(u), str(v), str(l)) for u, v, l in edges]
     return spark.createDataFrame(rows, "src STRING, dst STRING, label STRING")

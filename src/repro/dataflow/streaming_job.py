@@ -52,37 +52,21 @@ def write_sgt_file(path: str, sgts) -> None:
     os.rename(tmp, path)
 
 
-def start_streaming_rpq(
-    spark: SparkSession,
-    input_dir: str,
-    dfa: DFA,
-    window: int,
-    *,
-    sink: ResultSink | None = None,
-    checkpoint_dir: str | None = None,
-    max_files_per_trigger: int = 1,
-):
+def start_streaming_rpq(spark: SparkSession, input_dir: str, dfa: DFA, window: int):
     """Register a persistent RPQ over a file-source sgt stream.
 
-    Returns ``(query, engine, sink)``; stop with ``query.stop()`` or drain
+    Each micro-batch is one input file. Returns ``(query, engine, sink)``
+    with a fresh :class:`ResultSink`; stop with ``query.stop()`` or drain
     with ``query.processAllAvailable()`` in tests.
     """
-    sink = sink if sink is not None else ResultSink()
+    sink = ResultSink()
     engine = IncrementalRPQ(spark, dfa, window)
-
-    source = (
-        spark.readStream.schema(SGT_SCHEMA)
-        .option("maxFilesPerTrigger", max_files_per_trigger)
-        .json(input_dir)
-    )
+    source = spark.readStream.schema(SGT_SCHEMA).option("maxFilesPerTrigger", 1).json(input_dir)
 
     def handle_batch(batch_df: DataFrame, epoch_id: int) -> None:
         sink.rows.extend(engine.process_batch(batch_df))
 
-    writer = source.writeStream.foreachBatch(handle_batch)
-    if checkpoint_dir is not None:
-        writer = writer.option("checkpointLocation", checkpoint_dir)
-    query = writer.start()
+    query = source.writeStream.foreachBatch(handle_batch).start()
     return query, engine, sink
 
 
@@ -106,9 +90,7 @@ def run_stream_to_completion(
         path = os.path.join(in_dir, f"part-{i:05d}.json")
         write_sgt_file(path, chunk)
         os.utime(path, (t0 + i, t0 + i))
-    query, engine, sink = start_streaming_rpq(
-        spark, in_dir, dfa, window, max_files_per_trigger=1
-    )
+    query, engine, sink = start_streaming_rpq(spark, in_dir, dfa, window)
     try:
         query.processAllAvailable()
     finally:

@@ -10,7 +10,6 @@ the default test-sized ones.
 """
 from __future__ import annotations
 
-import math
 import time
 
 from ..core.queries import Query, make_query, workload
@@ -198,58 +197,31 @@ def fig5_index_size(scale: float = 1.0) -> list[dict]:
 # Figure 6 (as a table) — |W| and β scalability on the Yago-like graph
 # ----------------------------------------------------------------------
 
-def _measure_with_expiry_share(q: Query, stream, window: int, beta: int) -> dict:
-    """Run RAPQ measuring latency quantiles plus expiry cost attribution.
-
-    A tuple that crosses a slide boundary pays for Algorithm ExpiryRAPQ
-    inside its processing time; summing those tuples' times approximates the
-    window-maintenance cost the paper plots in Fig 6(b).
-    """
-    # Use the denser gMark stream for the sweep so windows hold real state.
-    engine = RAPQEngine(q.dfa, window=window, slide=beta)
-    expiry_time = 0.0
-    n_expiries = 0
-    lat: list[float] = []
-    last_boundary = -math.inf  # same test as RAPQEngine.process
-    t_start = time.perf_counter()
-    for sgt in stream:
-        s0 = time.perf_counter()
-        boundary = (sgt.ts // beta) * beta
-        will_expire = boundary > last_boundary
-        if will_expire:
-            last_boundary = boundary
-        engine.process(sgt)
-        dt = time.perf_counter() - s0
-        if will_expire:
-            expiry_time += dt
-            n_expiries += 1
-        if sgt.label in q.dfa.alphabet:
-            lat.append(dt * 1e6)
-    total = time.perf_counter() - t_start
-    lat.sort()
-    return {
-        "p99_us": lat[int(0.99 * len(lat))] if lat else 0.0,
-        "mean_us": (sum(lat) / len(lat)) if lat else 0.0,
-        "throughput_eps": len(lat) / total if total else 0.0,
-        "expiry_share_pct": round(100.0 * expiry_time / total, 2) if total else 0.0,
-        "expiry_ms_per_slide": round(expiry_time * 1e3 / n_expiries, 3)
-        if n_expiries
-        else 0.0,
-    }
-
-
 def fig6_scalability(scale: float = 1.0) -> list[dict]:
     from ..core.queries import query_from_text
 
+    # The denser gMark stream, so that windows hold real state.
     stream = gmark_stream(int(6000 * scale))
     q = query_from_text("g0 (g1|g2)*", name="Q3-like")
     rows = []
-    for w in (50, 100, 200, 400):
-        m = _measure_with_expiry_share(q, stream, window=w, beta=10)
-        rows.append({"sweep": "|W|", "value": w, **m})
-    for beta in (5, 10, 20, 40):
-        m = _measure_with_expiry_share(q, stream, window=100, beta=beta)
-        rows.append({"sweep": "beta", "value": beta, **m})
+    runs = [("|W|", w, w, 10) for w in (50, 100, 200, 400)]
+    runs += [("beta", b, 100, b) for b in (5, 10, 20, 40)]
+    for sweep, value, window, beta in runs:
+        m = _rapq_run(q, stream, window, beta)
+        rows.append({
+            "sweep": sweep,
+            "value": value,
+            "p99_us": m.p99_us,
+            "mean_us": m.mean_us,
+            "throughput_eps": m.throughput,
+            # Expiry runs inside the tuples that cross a slide boundary.
+            "expiry_share_pct": round(100.0 * m.expiry_s / m.elapsed_s, 2)
+            if m.elapsed_s
+            else 0.0,
+            "expiry_ms_per_slide": round(m.expiry_s * 1e3 / m.n_expiries, 3)
+            if m.n_expiries
+            else 0.0,
+        })
     return rows
 
 

@@ -4,10 +4,12 @@ Mirrors the paper's methodology (§5.1.1): process the stream tuple by tuple
 in a closed loop, record the processing time of each *relevant* tuple (those
 whose label is in Σ_Q — irrelevant tuples are discarded unmeasured, §5.2),
 and report mean/percentile latency plus throughput (inverse of mean latency
-in a closed system).
+in a closed system). The tuples that cross a slide boundary also pay for
+expiry; their total time is the window-maintenance cost of Fig 6(b).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,6 +30,8 @@ class RunMetrics:
     max_trees: int = 0
     failed: bool = False  # RSPQ budget exhaustion
     conflicts: int = 0
+    expiry_s: float = 0.0  # time of the tuples that crossed a slide boundary
+    n_expiries: int = 0  # number of such tuples
 
     @property
     def throughput(self) -> float:
@@ -62,6 +66,8 @@ class RunMetrics:
 def run_engine(engine, stream: Sequence[Sgt], size_probe_every: int = 200) -> RunMetrics:
     """Feed ``stream`` to ``engine`` (RAPQEngine/RSPQEngine API), measuring.
 
+    A tuple whose timestamp crosses a multiple of ``engine.slide`` (the
+    engine's own expiry test) counts towards ``expiry_s``/``n_expiries``.
     On :class:`repro.core.rspq.BudgetExceeded` the run stops and is flagged
     ``failed`` — Table 4's "query cannot be evaluated" outcome.
     """
@@ -69,17 +75,26 @@ def run_engine(engine, stream: Sequence[Sgt], size_probe_every: int = 200) -> Ru
 
     m = RunMetrics()
     alphabet = engine.dfa.alphabet
+    slide = engine.slide
+    last_boundary = -math.inf
     t_start = time.perf_counter()
     try:
         for i, sgt in enumerate(stream):
             m.n_tuples += 1
             relevant = sgt.label in alphabet
+            boundary = (sgt.ts // slide) * slide
+            expires = boundary > last_boundary
+            if expires:
+                last_boundary = boundary
             t0 = time.perf_counter()
             engine.process(sgt)
             t1 = time.perf_counter()
             if relevant:
                 m.n_relevant += 1
                 m.latencies_us.append((t1 - t0) * 1e6)
+            if expires:
+                m.n_expiries += 1
+                m.expiry_s += t1 - t0
             if i % size_probe_every == 0:
                 m.max_nodes = max(m.max_nodes, engine.n_nodes)
                 m.max_trees = max(m.max_trees, engine.n_trees)

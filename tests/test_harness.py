@@ -5,6 +5,7 @@ from repro.core.queries import make_query
 from repro.core.rapq import RAPQEngine
 from repro.harness.experiments import (
     fig5_index_size,
+    fig6_scalability,
     fig10_deletions,
     gmark_summary,
     table1_complexity,
@@ -28,6 +29,16 @@ class TestRunner:
         assert len(m.latencies_us) == m.n_relevant
         assert m.throughput > 0
         assert m.p99_us >= m.p50_us > 0
+
+    def test_expiry_time_is_that_of_the_boundary_tuples(self):
+        q = make_query("Q1", {"a": "a2q"})
+        engine = RAPQEngine(q.dfa, window=50, slide=5)
+        expire, calls = engine.expire, []
+        engine.expire = lambda *a, **k: calls.append(a) or expire(*a, **k)
+        stream = [Sgt(ts, "u", "v", "a2q") for ts in (0, 1, 4, 5, 5, 9, 15)]
+        m = run_engine(engine, stream)
+        assert m.n_expiries == len(calls) == 3  # boundaries 0, 5, 15
+        assert 0 < m.expiry_s < m.elapsed_s
 
     def test_metrics_quantiles(self):
         m = RunMetrics(latencies_us=[float(i) for i in range(1, 101)])
@@ -65,6 +76,17 @@ class TestExperimentDrivers:
         # latency check is lenient to absorb timing noise.
         assert w_rows[-1]["max_nodes"] > w_rows[0]["max_nodes"] * 2
         assert w_rows[-1]["mean_us"] > w_rows[0]["mean_us"]
+
+    def test_fig6_rows(self):
+        rows = fig6_scalability(scale=0.1)
+        assert [(r["sweep"], r["value"]) for r in rows] == [
+            ("|W|", 50), ("|W|", 100), ("|W|", 200), ("|W|", 400),
+            ("beta", 5), ("beta", 10), ("beta", 20), ("beta", 40),
+        ]
+        assert all(list(r) == ["sweep", "value", "p99_us", "mean_us", "throughput_eps",
+                               "expiry_share_pct", "expiry_ms_per_slide"] for r in rows)
+        assert all(0 < r["expiry_share_pct"] < 100 and r["expiry_ms_per_slide"] > 0
+                   for r in rows)
 
     def test_table2_rows(self):
         rows = table2_queries()

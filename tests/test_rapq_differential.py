@@ -43,12 +43,12 @@ def check_index(engine):
     """Assert the Δ index's structural invariants.
 
     Each tree holds exactly the product nodes its root reaches in the window
-    graph, each with its best max-min path timestamp (§3.1). Every tree edge
-    is a live window edge that drives the DFA transition, parent and children
-    links are symmetric, a child's ts is at most its parent's,
-    ``states_of`` / ``vertex_trees`` agree with the trees, each tree's
-    ``floor`` is a lower bound on its nodes' ts, and each finite floor has a
-    floor-heap entry at or below it.
+    graph, each with its best max-min path timestamp (§3.1). Every tree edge,
+    stored once as the child's parent pointer, is a live window edge that
+    drives the DFA transition, a child's ts is at most its parent's, each
+    parent chain ends at the root, ``states_of`` / ``vertex_trees`` agree
+    with the trees, each tree's ``floor`` is a lower bound on its nodes' ts,
+    and each finite floor has a floor-heap entry at or below it.
     """
     dfa, edges = engine.dfa, engine.graph.edges
     lowest_entry: dict = {}
@@ -66,19 +66,21 @@ def check_index(engine):
         assert set(nodes) == set(best), f"T_{x} differs from the nodes its root reaches"
         for key, node in nodes.items():
             assert node.key == key
-            for c in node.children:
-                assert nodes[c].parent == key, f"T_{x}: {c} listed under {key}"
             assert node.ts == best[key], f"T_{x}: {key}.ts={node.ts}, best {best[key]}"
             if key == tree.root_key:
                 continue
             (pu, ps), (v, t) = node.parent, key
             parent = nodes[node.parent]
-            assert key in parent.children
             assert node.ts <= parent.ts
             assert any(
                 dfa.delta(ps, lbl) == t and edges.get((pu, v, lbl), -math.inf) >= node.ts
                 for lbl in dfa.alphabet
             ), f"T_{x}: tree edge {node.parent}->{key} is not a window edge"
+            for _ in nodes:  # a chain longer than the tree would be a cycle
+                if parent.parent is None:
+                    break
+                parent = nodes[parent.parent]
+            assert parent is root, f"T_{x}: {key}'s parent chain ends at {parent.key}, not the root"
         states_of: dict = {}
         for v, s in nodes:
             states_of.setdefault(v, set()).add(s)
@@ -306,6 +308,30 @@ def test_deletion_rescans_tree_above_the_floor():
     assert sorted(e for e in events if e[1] == "x" and e[3] == "-") == [
         (6, "x", "y", "-"), (6, "x", "z", "-")
     ]
+
+
+def test_delete_marks_a_node_relinked_under_a_later_parent():
+    """Delete marks the subtree under a deleted tree edge by walking parent
+    pointers. (u,1) was relinked under (c,1), which was created after it,
+    so ``tree.nodes`` lists (u,1) and its child (w,1) before their parent,
+    two levels below the deleted tree edge x→v."""
+    dfa = compile_regex(parse("a+"))
+    s0, s = dfa.start, dfa.delta(dfa.start, "a")
+    engine = RAPQEngine(dfa, window=10, slide=1)
+    for t in [Sgt(1, "x", "u", "a"), Sgt(1, "u", "w", "a"),
+              Sgt(2, "x", "v", "a"), Sgt(2, "v", "c", "a"), Sgt(3, "c", "u", "a")]:
+        engine.process(t)
+    tree = engine.trees["x"]
+    parents = {k: n.parent for k, n in tree.nodes.items()}
+    assert parents[("w", s)] == ("u", s) and parents[("u", s)] == ("c", s)
+    assert parents[("c", s)] == ("v", s) and parents[("v", s)] == ("x", s0)
+    order = list(tree.nodes)
+    assert order.index(("u", s)) < order.index(("c", s))
+    engine.process(Sgt(4, "x", "v", "a", "-"))  # u and w reconnect through x→u
+    check_index(engine)
+    assert {k: (n.ts, n.parent) for k, n in tree.nodes.items()} == {
+        ("x", s0): (math.inf, None), ("u", s): (1, ("x", s0)), ("w", s): (1, ("u", s))
+    }
 
 
 class _UniterableTrees(dict):

@@ -114,13 +114,15 @@ def test_rspq_equals_rapq_on_acyclic_stream():
 def check_rspq_index(engine):
     """Assert the RSPQ index's structural invariants.
 
-    Every occurrence hangs off its tree's root through symmetric parent and
-    children links, is live, and has a ts at most its parent's; its tree edge
+    ``occ`` lists the root and live occurrences only. Every listed
+    occurrence other than the root has a listed parent (the tree edge is
+    stored once, as that pointer) with a ts at least its own; its tree edge
     is a window edge that drives the DFA transition, with a ts at least the
-    occurrence's. ``occ`` lists exactly those occurrences; ``states_of``,
-    ``marked`` (a marked key occurs once) and ``vertex_trees`` agree with
-    it. Each tree's ``floor`` is at most its occurrences' ts, and each finite
-    floor has a floor-heap entry at or below it.
+    occurrence's; and its parent chain ends at ``root_node``.
+    ``states_of``, ``marked`` (a marked key occurs once) and
+    ``vertex_trees`` agree with ``occ``. Each tree's ``floor`` is at most
+    its occurrences' ts, and each finite floor has a floor-heap entry at or
+    below it.
     """
     dfa, edges = engine.dfa, engine.graph.edges
     lowest_entry: dict = {}
@@ -131,24 +133,27 @@ def check_rspq_index(engine):
         root = tree.root_node
         assert tree.root == x and root.key == (x, dfa.start)
         assert root.parent is None and root.ts == math.inf
-        reached, stack = [], [root]
-        while stack:
-            node = stack.pop()
-            reached.append(node)
-            assert not node.dead, f"T_{x}: dead {node} still linked"
-            pu, ps = node.key
-            for c in node.children:
-                assert c.parent is node, f"T_{x}: {c} listed under {node}"
-                assert c.ts <= node.ts, f"T_{x}: {c} above its parent {node}"
-                v, t = c.key
-                assert any(
-                    dfa.delta(ps, lbl) == t and edges.get((pu, v, lbl), -math.inf) >= c.ts
-                    for lbl in dfa.alphabet
-                ), f"T_{x}: tree edge {node.key}->{c.key} is not a window edge"
-                stack.append(c)
         listed = [n for occs in tree.occ.values() for n in occs]
         assert all(n.key == key for key, occs in tree.occ.items() for n in occs)
-        assert sorted(map(id, listed)) == sorted(map(id, reached)), f"T_{x}: occ differs from the tree"
+        ids = set(map(id, listed))
+        assert len(ids) == len(listed) and id(root) in ids, f"T_{x}: occ lists a node twice or not the root"
+        for node in listed:
+            assert not node.dead, f"T_{x}: dead {node} still listed"
+            if node is root:
+                continue
+            p = node.parent
+            assert p is not None and id(p) in ids, f"T_{x}: {node} hangs off unlisted {p}"
+            assert node.ts <= p.ts, f"T_{x}: {node} above its parent {p}"
+            (pu, ps), (v, t) = p.key, node.key
+            assert any(
+                dfa.delta(ps, lbl) == t and edges.get((pu, v, lbl), -math.inf) >= node.ts
+                for lbl in dfa.alphabet
+            ), f"T_{x}: tree edge {p.key}->{node.key} is not a window edge"
+            for _ in listed:  # a chain longer than the tree would be a cycle
+                if p.parent is None:
+                    break
+                p = p.parent
+            assert p is root, f"T_{x}: {node}'s parent chain ends at {p}, not the root"
         assert tree.floor <= min(n.ts for n in listed), f"T_{x}: floor too high"
         if tree.floor < math.inf:
             assert lowest_entry.get(x, math.inf) <= tree.floor, f"T_{x}: no heap entry for its floor"
@@ -236,6 +241,37 @@ def test_deleting_one_parallel_edge_keeps_the_other():
     ]
     engine = replay_per_step("(a|b)+", stream, window=10)
     assert ("x", "y") in engine.derivable_pairs()
+
+
+def test_delete_with_a_top_inside_another_tops_subtree():
+    """Deleting u→v:a cuts two tree edges on one path of T_x: (v,0) under
+    (u,0), and (v,1) under (u,1), which lies in (v,0)'s subtree. The (w,1)
+    on that path is listed in ``occ`` before its parent (m,0): its key's
+    first occurrences, unmarked by a conflict at x, have expired."""
+    query = "a* b? a* c a*"
+    dfa = compile_regex(parse(query))
+    s0 = dfa.start
+    s1 = dfa.delta(s0, "b")
+    stream = [
+        Sgt(1, "x", "w", "b"),
+        Sgt(2, "w", "x", "c"),  # conflict at x: (w,1) is unmarked
+        Sgt(3, "x", "u", "a"),
+        Sgt(3, "u", "v", "a"),
+        Sgt(3, "v", "m", "a"),
+        Sgt(5, "m", "w", "b"),  # a further (w,1), under (m,0)
+        Sgt(7, "w", "u", "a"),  # lo = 1: the older (w,1)s expire
+        Sgt(8, "u", "v", "a", "-"),
+        Sgt(8, "u", "y", "c"),
+    ]
+    tree = replay_per_step(query, stream[:7], window=6).trees["x"]
+    (v0,), (v1,) = tree.occ[("v", s0)], tree.occ[("v", s1)]
+    (m0,), (w1,) = tree.occ[("m", s0)], tree.occ[("w", s1)]
+    assert v1.parent.key == ("u", s1) and v1.parent.parent is w1
+    assert w1.parent is m0 and m0.parent is v0 and v0.parent.key == ("u", s0)
+    keys = list(tree.occ)
+    assert keys.index(("w", s1)) < keys.index(("m", s0))
+    tree = replay_per_step(query, stream, window=6).trees["x"]
+    assert set(tree.occ) == {("x", s0), ("u", s0), ("y", dfa.delta(s0, "c"))}
 
 
 @pytest.mark.parametrize("slide", [2, 5])
