@@ -66,9 +66,21 @@ class DFA:
         return out
 
     @cached_property
+    def by_label(self) -> dict[str, dict[int, int]]:
+        """label → {s: δ(s, label)}: ``trans`` grouped by label."""
+        out: dict[str, dict[int, int]] = {}
+        for (s, label), t in self.trans.items():
+            out.setdefault(label, {})[s] = t
+        return out
+
+    @cached_property
     def start_labels(self) -> dict[str, int]:
         """label → δ(start, label); the labels that can begin a path."""
-        return {label: t for (s, label), t in self.trans.items() if s == self.start}
+        return {
+            label: step[self.start]
+            for label, step in self.by_label.items()
+            if self.start in step
+        }
 
     def transition_rows(self) -> list[tuple[int, str, int]]:
         """``(src_state, label, dst_state)`` rows for DataFrame construction."""

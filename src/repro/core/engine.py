@@ -1,7 +1,9 @@
 """The Δ-tree engine skeleton shared by Algorithms RAPQ (§3) and RSPQ (§4).
 
 Both engines keep one spanning tree ``T_x`` per root ``x`` over the product
-of the window graph and the query DFA (Definition 12). The paper builds RSPQ
+of the window graph and the query DFA (Definition 12). The engine keeps that
+product graph's out-edges, ``succ``, in step with the window graph, for
+RAPQ's Insert to expand over (§5.1.1's lookup indexes). The paper builds RSPQ
 as RAPQ plus markings and conflicts and reuses the §3 machinery for
 ExpiryRSPQ and Delete (§4.1, §3.2); :class:`DeltaEngine` is that machinery:
 the per-tuple driver, the expiry driver and the Delete driver.
@@ -80,6 +82,10 @@ class DeltaEngine:
         self.window = window
         self.slide = max(1, slide)
         self.graph = WindowGraph(window)
+        # The window's product-graph out-edges: succ[(u, s)] = {(v, t): ts}
+        # for every window edge u→v:label with δ(s, label) = t, ts being the
+        # latest among the parallel edges u→v that drive s→t.
+        self.succ: dict[Key, dict[Key, int]] = {}
         self.trees: dict = {}
         # vertex -> roots of trees containing it in some state
         self.vertex_trees: dict[str, set[str]] = {}
@@ -112,6 +118,7 @@ class DeltaEngine:
         if label not in self.dfa.alphabet:
             return set()  # tuples whose label is not in Σ_Q are discarded (§5.2)
         self.graph.insert(u, v, label, tau)
+        self._sync_succ(u, v, label)
         # A new path can start at u if δ(s0, label) is defined: materialize
         # T_u so the per-edge step extends it (Δ's root set).
         if label in self.dfa.start_labels and u not in self.trees and self._owns(u):
@@ -179,7 +186,8 @@ class DeltaEngine:
         reported as negative results.
         """
         now = int(tau) if tau != NEG_INF else 0
-        self.graph.expire(now)
+        for u, v, label in self.graph.expire(now):
+            self._sync_succ(u, v, label)
         lo = tau - self.window
         finals = self.dfa.finals
         invalidated: set[tuple[str, str]] = set()
@@ -227,6 +235,35 @@ class DeltaEngine:
                         self.on_result(now, x, v, "-")
         return invalidated
 
+    def _sync_succ(self, u: str, v: str, label: str) -> None:
+        """Bring ``succ`` in line with the window after ``u→v:label`` was
+        inserted, refreshed or removed.
+
+        Each product edge ``(u, s) → (v, t)`` the label drives takes the
+        latest ts among the parallel window edges ``u→v`` that drive
+        ``s → t``: an inserted or refreshed edge is the window's latest, and
+        after a removal the ts is recomputed from the edges left. The
+        product edge is dropped only when none of them is left.
+        """
+        outs = self.graph.out_adj.get(u, {})
+        ts = outs.get((v, label))  # None once the edge is removed
+        by_label = self.dfa.by_label
+        succ = self.succ
+        for s, t in by_label[label].items():
+            latest = ts
+            if latest is None:  # removed: the latest parallel edge left, if any
+                for lbl, step in by_label.items():
+                    e_ts = outs.get((v, lbl)) if step.get(s) == t else None
+                    if e_ts is not None and (latest is None or e_ts > latest):
+                        latest = e_ts
+            if latest is not None:
+                succ.setdefault((u, s), {})[(v, t)] = latest
+            else:  # already gone if a parallel edge expired along with this one
+                edges = succ.get((u, s), {})
+                edges.pop((v, t), None)
+                if not edges:
+                    succ.pop((u, s), None)
+
     def _untrack(self, v: str, x: str) -> None:
         """``T_x`` no longer holds vertex ``v``: drop it from the reverse index."""
         roots = self.vertex_trees.get(v)
@@ -250,6 +287,7 @@ class DeltaEngine:
         """
         if not self.graph.delete(u, v, label):
             return set()
+        self._sync_succ(u, v, label)
         touched = False
         for x in list(self.vertex_trees.get(v, ())):
             tree = self.trees.get(x)

@@ -7,7 +7,8 @@ on the engine skeleton of :mod:`repro.core.engine`:
   product graph, guided by the query DFA;
 * **Insert** (:meth:`RAPQEngine._insert`) — tree extension with timestamp
   maintenance, run best-first (a widest-path Dijkstra) so that each node is
-  settled at most once per tuple and tree;
+  settled at most once per tuple and tree, over the product-graph
+  out-edges the engine keeps (``DeltaEngine.succ``);
 * **ExpiryRAPQ** (:meth:`RAPQEngine._expire_tree`) — prune one tree's expired
   nodes and reconnect them through every surviving in-edge; the shared
   driver :meth:`~repro.core.engine.DeltaEngine.expire` visits only the trees
@@ -124,7 +125,7 @@ class RAPQEngine(DeltaEngine):
         self, u: str, v: str, label: str, tau: int
     ) -> set[tuple[str, str]]:
         results: set[tuple[str, str]] = set()
-        trans = self.dfa.trans
+        step = self.dfa.by_label[label]
         for x in list(self.vertex_trees.get(u, ())):
             tree = self.trees.get(x)
             if tree is None:
@@ -132,7 +133,7 @@ class RAPQEngine(DeltaEngine):
             nodes = tree.nodes
             seeds = []
             for s in tree.states_of.get(u, ()):
-                t = trans.get((s, label))
+                t = step.get(s)
                 if t is None:
                     continue
                 cand = min(tau, nodes[(u, s)].ts)
@@ -163,11 +164,15 @@ class RAPQEngine(DeltaEngine):
         call is its best one (a bottleneck Dijkstra, Pollack 1960). Later
         entries for a settled node fail line 8's guard and are dropped. Each
         new final-state node adds its pair to ``results``.
+
+        A settled node expands over its product-graph out-edges in
+        ``self.succ``, with no transition lookup: parallel window edges that
+        drive the same transition are one product edge at their latest ts,
+        so they push one heap entry.
         """
         nodes = tree.nodes
-        trans = self.dfa.trans
         finals = self.dfa.finals
-        out_adj = self.graph.out_adj
+        succ = self.succ
         vertex_trees = self.vertex_trees
         root = tree.root
         floor = tree.floor
@@ -189,20 +194,16 @@ class RAPQEngine(DeltaEngine):
                 tree.relink(node, pkey, cand)
             else:
                 continue  # settled earlier in this call — do not expand
-            # Expand along window out-edges of the child vertex (lines 7-11).
-            cv, cs = ckey
-            outs = out_adj.get(cv)
+            # Expand along the product-graph out-edges of the child (lines 7-11).
+            outs = succ.get(ckey)
             if not outs:
                 continue
-            for (w, lbl), w_ts in outs.items():
-                q = trans.get((cs, lbl))
-                if q is None:
-                    continue
+            for wkey, w_ts in outs.items():
                 child_cand = cand if cand < w_ts else w_ts
-                existing = nodes.get((w, q))
+                existing = nodes.get(wkey)
                 if existing is None or existing.ts < child_cand:
                     seq += 1
-                    heappush(heap, (-child_cand, seq, ckey, (w, q)))
+                    heappush(heap, (-child_cand, seq, ckey, wkey))
         self.insert_calls += pops
         if tree.floor < floor:
             heappush(self._floors, (tree.floor, root))

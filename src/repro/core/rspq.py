@@ -76,10 +76,9 @@ class _PathNode:
     key: Key
     ts: float
     parent: "_PathNode | None"
-    dead: bool = False  # detached during expiry
 
     def __repr__(self) -> str:  # non-recursive (parent omitted)
-        return f"_PathNode({self.key}, ts={self.ts}, dead={self.dead})"
+        return f"_PathNode({self.key}, ts={self.ts})"
 
 
 class RSPQTree:
@@ -120,7 +119,6 @@ class RSPQTree:
             states.discard(s)
             if not states:
                 del self.states_of[v]
-        node.dead = True
 
     def tighten_floor(self) -> None:
         self.floor = min(n.ts for occs in self.occ.values() for n in occs)
@@ -217,8 +215,7 @@ class RSPQEngine(DeltaEngine):
                 if t is None:
                     continue
                 for node in list(tree.occ.get((u, s), ())):
-                    if not node.dead:
-                        self._extend(tree, node, (v, t), tau, results)
+                    self._extend(tree, node, (v, t), tau, results)
             if tree.floor < floor:
                 heappush(self._floors, (tree.floor, x))
         return results
@@ -248,8 +245,6 @@ class RSPQEngine(DeltaEngine):
             raise BudgetExceeded(
                 f"tuple exceeded {self.budget} Extend calls (conflict blow-up)"
             )
-        if parent.dead:
-            return
         if ctx is None:
             ctx = _PathCtx.from_node(parent)
         v, t = key
@@ -316,8 +311,7 @@ class RSPQEngine(DeltaEngine):
                 if self.dfa.delta(q, lbl) != t:
                     continue
                 for pnode in list(tree.occ.get((w, q), ())):
-                    if not pnode.dead:
-                        self._extend(tree, pnode, key, e_ts, results)
+                    self._extend(tree, pnode, key, e_ts, results)
 
     # ------------------------------------------------------------------
     # Algorithm ExpiryRSPQ

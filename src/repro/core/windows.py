@@ -80,10 +80,6 @@ class WindowGraph:
             self._drop_adj(u, v, label)
         return dead
 
-    def valid(self, ts: int, tau: int) -> bool:
-        """Is a timestamp inside the window interval ``(τ − |W|, τ]``?"""
-        return tau - self.window < ts <= tau
-
     def out_edges(self, u: str):
         """Iterate ``(v, label, ts)`` over out-edges of ``u``."""
         for (v, label), ts in self.out_adj.get(u, {}).items():
@@ -97,12 +93,6 @@ class WindowGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def vertices(self) -> set[str]:
-        verts = set(self.out_adj)
-        verts.update(self.in_adj)
-        return verts
 
     def edge_set(self) -> set[Edge]:
         """The current snapshot's edges (for oracle comparisons)."""

@@ -48,9 +48,18 @@ def check_index(engine):
     drives the DFA transition, a child's ts is at most its parent's, each
     parent chain ends at the root, ``states_of`` / ``vertex_trees`` agree
     with the trees, each tree's ``floor`` is a lower bound on its nodes' ts,
-    and each finite floor has a floor-heap entry at or below it.
+    and each finite floor has a floor-heap entry at or below it. The
+    product successor index ``succ`` equals the one rebuilt from the window
+    edges, each product edge with the latest ts of its parallel edges.
     """
     dfa, edges = engine.dfa, engine.graph.edges
+    succ: dict = {}
+    for (u, v, lbl), ts in edges.items():
+        for (s, a), t in dfa.trans.items():
+            if a == lbl:
+                out = succ.setdefault((u, s), {})
+                out[(v, t)] = max(ts, out.get((v, t), -math.inf))
+    assert engine.succ == succ, "succ differs from the window's product graph"
     lowest_entry: dict = {}
     for f, x in engine._floors:
         lowest_entry[x] = min(f, lowest_entry.get(x, math.inf))
@@ -234,6 +243,33 @@ def test_parallel_edges_survive_each_others_deletion(first, deleted):
     check_index(engine)
     assert engine.derivable_pairs() == set()
     assert events == [(1, "x", "y", "+"), (4, "x", "y", "-")]
+
+
+@pytest.mark.parametrize("leaves", ["expiry", "delete-older", "delete-newer"])
+def test_product_edge_keeps_the_surviving_parallel_edges_ts(leaves):
+    """u→v:a (ts 1) and u→v:b (ts 3) both drive every transition of
+    (a|b)+ to the final state: each product edge is kept once, at ts 3.
+    When one of the two leaves the window, the product edge keeps the
+    survivor's ts."""
+    dfa = compile_regex(parse("(a|b)+"))
+    s0, s = dfa.start, dfa.delta(dfa.start, "a")
+    engine = RAPQEngine(dfa, window=5, slide=1)
+    engine.process(Sgt(1, "u", "v", "a"))
+    engine.process(Sgt(3, "u", "v", "b"))
+    assert engine.succ == {("u", s0): {("v", s): 3}, ("u", s): {("v", s): 3}}
+    if leaves == "expiry":
+        engine.process(Sgt(6, "x", "y", "a"))  # lo = 1: u→v:a expires
+        survivor = 3
+    elif leaves == "delete-older":
+        engine.process(Sgt(4, "u", "v", "a", "-"))
+        survivor = 3
+    else:
+        engine.process(Sgt(4, "u", "v", "b", "-"))
+        survivor = 1
+    check_index(engine)
+    assert engine.succ[("u", s0)] == {("v", s): survivor}
+    assert engine.succ[("u", s)] == {("v", s): survivor}
+    assert engine.trees["u"].nodes[("v", s)].ts == survivor
 
 
 @pytest.mark.parametrize("query", ["a*", "(a|b|c)+", "(a b)+", "a b* c*"])

@@ -114,7 +114,8 @@ def test_rspq_equals_rapq_on_acyclic_stream():
 def check_rspq_index(engine):
     """Assert the RSPQ index's structural invariants.
 
-    ``occ`` lists the root and live occurrences only. Every listed
+    ``occ`` lists the root and live occurrences only: none has a ts at or
+    below ``τ − |W|`` of the last slide boundary τ. Every listed
     occurrence other than the root has a listed parent (the tree edge is
     stored once, as that pointer) with a ts at least its own; its tree edge
     is a window edge that drives the DFA transition, with a ts at least the
@@ -128,6 +129,7 @@ def check_rspq_index(engine):
     lowest_entry: dict = {}
     for f, x in engine._floors:
         lowest_entry[x] = min(f, lowest_entry.get(x, math.inf))
+    lo = engine._last_boundary - engine.window
     vertex_trees: dict = {}
     for x, tree in engine.trees.items():
         root = tree.root_node
@@ -138,7 +140,7 @@ def check_rspq_index(engine):
         ids = set(map(id, listed))
         assert len(ids) == len(listed) and id(root) in ids, f"T_{x}: occ lists a node twice or not the root"
         for node in listed:
-            assert not node.dead, f"T_{x}: dead {node} still listed"
+            assert node.ts > lo, f"T_{x}: expired {node} still listed"
             if node is root:
                 continue
             p = node.parent

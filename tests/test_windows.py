@@ -34,12 +34,6 @@ class TestInsert:
         g.insert("a", "b", "l2", 6)
         assert g.n_edges == 2
 
-    def test_vertices(self):
-        g = make_graph()
-        g.insert("a", "b", "l", 1)
-        g.insert("b", "c", "l", 2)
-        assert g.vertices == {"a", "b", "c"}
-
 
 class TestExpiry:
     def test_expire_drops_old_edges(self):
@@ -76,14 +70,7 @@ class TestExpiry:
         g.expire(10)
         assert list(g.out_edges("a")) == []
         assert list(g.in_edges("b")) == []
-        assert g.vertices == set()
-
-    def test_valid_interval(self):
-        g = make_graph(window=5)
-        assert not g.valid(5, 10)
-        assert g.valid(6, 10)
-        assert g.valid(10, 10)
-        assert not g.valid(11, 10)
+        assert g.out_adj == {} and g.in_adj == {}
 
 
 class TestDelete:
