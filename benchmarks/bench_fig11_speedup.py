@@ -21,7 +21,8 @@ from repro.core.queries import LABEL_BINDINGS, make_query
 from repro.core.rapq import RAPQEngine
 from repro.dataflow.batch_eval import batch_rapq
 from repro.dataflow.incremental import IncrementalRPQ
-from repro.dataflow.product_graph import SGT_SCHEMA
+from repro.dataflow.product_graph import SGT_SCHEMA, edges_df
+from repro.rpq_oracle import snapshot_edges
 from repro.streams.generators import dataset_stream
 
 WINDOW, SLIDE = 100, 25
@@ -55,20 +56,8 @@ def test_incremental_delta_tree_step(benchmark):
 
 
 def test_batch_reevaluation_step(benchmark, spark):
-    chunks = _chunks()
-    seen = {}
-    for c in chunks:
-        for t in c:
-            seen[(t.src, t.dst, t.label)] = t
-    wm = max(t.ts for t in chunks[-1])
-    live = [
-        (t.src, t.dst, t.label)
-        for t in seen.values()
-        if t.op == "+" and wm - WINDOW < t.ts <= wm
-    ]
-    edges = spark.createDataFrame(
-        live, "src STRING, dst STRING, label STRING"
-    ).localCheckpoint(eager=True)
+    snapshot = snapshot_edges(STREAM, STREAM[-1].ts, WINDOW)
+    edges = edges_df(spark, snapshot).localCheckpoint(eager=True)
 
     def step():
         return batch_rapq(edges, QUERY.dfa).count()

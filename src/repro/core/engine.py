@@ -2,11 +2,12 @@
 
 Both engines keep one spanning tree ``T_x`` per root ``x`` over the product
 of the window graph and the query DFA (Definition 12). The engine keeps that
-product graph's out-edges, ``succ``, in step with the window graph, for
-RAPQ's Insert to expand over (§5.1.1's lookup indexes). The paper builds RSPQ
-as RAPQ plus markings and conflicts and reuses the §3 machinery for
-ExpiryRSPQ and Delete (§4.1, §3.2); :class:`DeltaEngine` is that machinery:
-the per-tuple driver, the expiry driver and the Delete driver.
+product graph's out-edges ``succ`` and in-edges ``pred`` in step with the
+window graph (§5.1.1's lookup indexes); they are the only adjacency either
+engine walks. The paper builds RSPQ as RAPQ plus markings and conflicts and
+reuses the §3 machinery for ExpiryRSPQ and Delete (§4.1, §3.2);
+:class:`DeltaEngine` is that machinery: the per-tuple driver, the expiry
+driver and the Delete driver.
 
 A subclass sets ``tree_type``: a tree with ``root``, ``floor`` (a lower bound
 on its nodes' ts), ``size``, ``states_of`` (vertex -> states present) and
@@ -82,10 +83,12 @@ class DeltaEngine:
         self.window = window
         self.slide = max(1, slide)
         self.graph = WindowGraph(window)
-        # The window's product-graph out-edges: succ[(u, s)] = {(v, t): ts}
-        # for every window edge u→v:label with δ(s, label) = t, ts being the
-        # latest among the parallel edges u→v that drive s→t.
+        # The window's product graph: succ[(u, s)] = {(v, t): ts} and its
+        # inverse pred[(v, t)] = {(u, s): ts} for every window edge u→v:label
+        # with δ(s, label) = t, ts being the latest among the parallel edges
+        # u→v that drive s→t.
         self.succ: dict[Key, dict[Key, int]] = {}
+        self.pred: dict[Key, dict[Key, int]] = {}
         self.trees: dict = {}
         # vertex -> roots of trees containing it in some state
         self.vertex_trees: dict[str, set[str]] = {}
@@ -118,7 +121,7 @@ class DeltaEngine:
         if label not in self.dfa.alphabet:
             return set()  # tuples whose label is not in Σ_Q are discarded (§5.2)
         self.graph.insert(u, v, label, tau)
-        self._sync_succ(u, v, label)
+        self._sync_product(u, v, label)
         # A new path can start at u if δ(s0, label) is defined: materialize
         # T_u so the per-edge step extends it (Δ's root set).
         if label in self.dfa.start_labels and u not in self.trees and self._owns(u):
@@ -187,7 +190,7 @@ class DeltaEngine:
         """
         now = int(tau) if tau != NEG_INF else 0
         for u, v, label in self.graph.expire(now):
-            self._sync_succ(u, v, label)
+            self._sync_product(u, v, label)
         lo = tau - self.window
         finals = self.dfa.finals
         invalidated: set[tuple[str, str]] = set()
@@ -235,9 +238,9 @@ class DeltaEngine:
                         self.on_result(now, x, v, "-")
         return invalidated
 
-    def _sync_succ(self, u: str, v: str, label: str) -> None:
-        """Bring ``succ`` in line with the window after ``u→v:label`` was
-        inserted, refreshed or removed.
+    def _sync_product(self, u: str, v: str, label: str) -> None:
+        """Bring ``succ`` and ``pred`` in line with the window after
+        ``u→v:label`` was inserted, refreshed or removed.
 
         Each product edge ``(u, s) → (v, t)`` the label drives takes the
         latest ts among the parallel window edges ``u→v`` that drive
@@ -245,24 +248,28 @@ class DeltaEngine:
         after a removal the ts is recomputed from the edges left. The
         product edge is dropped only when none of them is left.
         """
-        outs = self.graph.out_adj.get(u, {})
-        ts = outs.get((v, label))  # None once the edge is removed
+        edges = self.graph.edges
+        ts = edges.get((u, v, label))  # None once the edge is removed
         by_label = self.dfa.by_label
-        succ = self.succ
+        succ, pred = self.succ, self.pred
         for s, t in by_label[label].items():
             latest = ts
             if latest is None:  # removed: the latest parallel edge left, if any
                 for lbl, step in by_label.items():
-                    e_ts = outs.get((v, lbl)) if step.get(s) == t else None
+                    e_ts = edges.get((u, v, lbl)) if step.get(s) == t else None
                     if e_ts is not None and (latest is None or e_ts > latest):
                         latest = e_ts
+            ukey, vkey = (u, s), (v, t)
             if latest is not None:
-                succ.setdefault((u, s), {})[(v, t)] = latest
-            else:  # already gone if a parallel edge expired along with this one
-                edges = succ.get((u, s), {})
-                edges.pop((v, t), None)
-                if not edges:
-                    succ.pop((u, s), None)
+                succ.setdefault(ukey, {})[vkey] = latest
+                pred.setdefault(vkey, {})[ukey] = latest
+                continue
+            # Already gone if a parallel edge expired along with this one.
+            for index, a, b in ((succ, ukey, vkey), (pred, vkey, ukey)):
+                out = index.get(a, {})
+                out.pop(b, None)
+                if not out:
+                    index.pop(a, None)
 
     def _untrack(self, v: str, x: str) -> None:
         """``T_x`` no longer holds vertex ``v``: drop it from the reverse index."""
@@ -287,7 +294,7 @@ class DeltaEngine:
         """
         if not self.graph.delete(u, v, label):
             return set()
-        self._sync_succ(u, v, label)
+        self._sync_product(u, v, label)
         touched = False
         for x in list(self.vertex_trees.get(v, ())):
             tree = self.trees.get(x)

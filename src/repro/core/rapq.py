@@ -10,7 +10,8 @@ on the engine skeleton of :mod:`repro.core.engine`:
   settled at most once per tuple and tree, over the product-graph
   out-edges the engine keeps (``DeltaEngine.succ``);
 * **ExpiryRAPQ** (:meth:`RAPQEngine._expire_tree`) — prune one tree's expired
-  nodes and reconnect them through every surviving in-edge; the shared
+  nodes and reconnect them through every surviving product-graph in-edge
+  (``DeltaEngine.pred``); the shared
   driver :meth:`~repro.core.engine.DeltaEngine.expire` visits only the trees
   whose timestamp floor (``SpanningTree.floor``) is due;
 * **Delete** (:meth:`RAPQEngine._mark_deleted`) — explicit deletions via
@@ -219,7 +220,7 @@ class RAPQEngine(DeltaEngine):
 
         Collect the potentially expired set P (nodes with ``ts ≤ lo``),
         prune it, then re-``Insert`` the pruned nodes from every still-valid
-        parent over a still-valid window edge, all in one best-first
+        parent over a product-graph in-edge (``pred``), all in one best-first
         :meth:`_insert` call, so reconnected nodes get their best timestamps.
         Every pruned key is a candidate on both the boundary and the
         deletion path (``invalidate`` is not needed).
@@ -232,15 +233,14 @@ class RAPQEngine(DeltaEngine):
         # parent ts), so every surviving node is a valid parent.
         for key in candidates:
             tree.remove(key)
-        trans = self.dfa.trans
-        in_adj = self.graph.in_adj
+        pred = self.pred
         seeds = []
-        for (v, t) in candidates:
+        for ckey in candidates:
             self.expiry_scans += 1
-            for (uu, lbl), e_ts in in_adj.get(v, {}).items():
-                for s in tree.states_of.get(uu, ()):
-                    if trans.get((s, lbl)) == t:
-                        seeds.append((min(e_ts, nodes[(uu, s)].ts), (uu, s), (v, t)))
+            for pkey, e_ts in pred.get(ckey, {}).items():
+                parent = nodes.get(pkey)
+                if parent is not None:
+                    seeds.append((min(e_ts, parent.ts), pkey, ckey))
         if seeds:
             self._insert(tree, seeds, results)
         return candidates

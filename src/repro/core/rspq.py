@@ -31,9 +31,9 @@ tests against the exhaustive simple-path oracle, see DESIGN.md):
   over a parallel edge (another label driving the same transition) that
   remains. The Line 6 rationale does not cover such an occurrence, so on the
   deletion path each surviving parent of a pruned occurrence is first
-  re-extended over the window edges that still lead there. We skip the
-  optional parent re-marking step (Lines 12–14), which affects only pruning
-  opportunity, never results;
+  re-extended over the product edge that still leads there, if any. We skip
+  the optional parent re-marking step (Lines 12–14), which affects only
+  pruning opportunity, never results;
 * a new edge extends every live occurrence of its source, also one that
   lazy expiry (β > 1) keeps past ``τ − |W|`` until the next boundary, so
   that, as in RAPQ, the index derives exactly the pairs of its own window
@@ -46,7 +46,10 @@ in RAPQ, each tree edge is stored once, as the occurrence's parent pointer:
 Delete finds the subtrees to mark by walking those pointers up
 (:func:`~repro.core.engine.below_tops`), and ExpiryRSPQ detaches the
 expired occurrences one by one, since they already include every expired
-occurrence's descendants.
+occurrence's descendants. Extend, re-exploration and Delete's re-extension
+walk the engine's product graph (``succ``, ``pred``), as RAPQ's Insert and
+reconnection do: parallel edges that drive the same transition are one
+product edge at their latest ts.
 """
 from __future__ import annotations
 
@@ -205,13 +208,14 @@ class RSPQEngine(DeltaEngine):
         self, u: str, v: str, label: str, tau: int
     ) -> set[tuple[str, str]]:
         results: set[tuple[str, str]] = set()
+        step = self.dfa.by_label[label]
         for x in list(self.vertex_trees.get(u, ())):
             tree = self.trees.get(x)
             if tree is None:
                 continue
             floor = tree.floor
             for s in list(tree.states_of.get(u, ())):
-                t = self.dfa.delta(s, label)
+                t = step.get(s)
                 if t is None:
                     continue
                 for node in list(tree.occ.get((u, s), ())):
@@ -273,11 +277,8 @@ class RSPQEngine(DeltaEngine):
             results.add((tree.root, v))
         ctx.push(v, t)
         try:
-            for w, lbl, w_ts in list(self.graph.out_edges(v)):
-                r = self.dfa.delta(t, lbl)
-                if r is None:
-                    continue
-                self._extend(tree, node, (w, r), w_ts, results, ctx)
+            for wkey, w_ts in self.succ.get(key, {}).items():
+                self._extend(tree, node, wkey, w_ts, results, ctx)
         finally:
             ctx.pop(v)
 
@@ -303,15 +304,11 @@ class RSPQEngine(DeltaEngine):
             self._reexplore(tree, key, results)
 
     def _reexplore(self, tree: RSPQTree, key: Key, results: set[tuple[str, str]]) -> None:
-        """Extend every occurrence of a predecessor of ``key`` with ``key``,
-        over each window edge into ``key``'s vertex that drives the transition."""
-        v, t = key
-        for w, lbl, e_ts in list(self.graph.in_edges(v)):
-            for q in list(tree.states_of.get(w, ())):
-                if self.dfa.delta(q, lbl) != t:
-                    continue
-                for pnode in list(tree.occ.get((w, q), ())):
-                    self._extend(tree, pnode, key, e_ts, results)
+        """Extend every occurrence of a product-graph predecessor of ``key``
+        (``pred``) with ``key``."""
+        for pkey, e_ts in self.pred.get(key, {}).items():
+            for pnode in list(tree.occ.get(pkey, ())):
+                self._extend(tree, pnode, key, e_ts, results)
 
     # ------------------------------------------------------------------
     # Algorithm ExpiryRSPQ
@@ -327,7 +324,7 @@ class RSPQEngine(DeltaEngine):
         subtrees −∞), then reconnects the marked keys that lost all their
         occurrences. On the deletion path (``invalidate``) it first
         re-extends each surviving parent of a pruned occurrence over the
-        window edges that still drive it there (see the module docstring).
+        product edge that still leads there (see the module docstring).
         """
         expired = [n for occs in tree.occ.values() for n in occs
                    if n.ts <= lo and n.parent is not None]
@@ -340,13 +337,12 @@ class RSPQEngine(DeltaEngine):
         for n in expired:
             tree.detach(n)
         tree.marked -= {k for k in pruned if k not in tree.occ}
-        for parent, (v, t) in cut:
+        for parent, key in cut:
             # Delete cannot tell parallel edges that drive the same transition
-            # apart, so re-extend the parent over those that remain.
-            pv, ps = parent.key
-            for w, lbl, e_ts in list(self.graph.in_edges(v)):
-                if w == pv and self.dfa.delta(ps, lbl) == t:
-                    self._extend(tree, parent, (v, t), e_ts, results)
+            # apart: re-extend the parent over the product edge if one remains.
+            e_ts = self.succ.get(parent.key, {}).get(key)
+            if e_ts is not None:
+                self._extend(tree, parent, key, e_ts, results)
         for key in was_marked:
             if key not in tree.occ:
                 self._reexplore(tree, key, results)

@@ -14,7 +14,7 @@ so plans stay bounded regardless of the product graph's diameter.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.dfa import DFA
@@ -71,30 +71,3 @@ def batch_rapq(edges: DataFrame, dfa: DFA, max_iterations: int = 200) -> DataFra
         .select("x", F.col("v").alias("y"))
         .distinct()
     )
-
-
-def windowed_recompute(
-    sgts: DataFrame, dfa: DFA, window: int, watermark: int
-) -> DataFrame:
-    """The §5.6 baseline step: filter the window content, re-run the batch.
-
-    ``sgts`` has columns ``ts, src, dst, label, op``; the snapshot applies
-    the latest op per (src, dst, label) and keeps inserts inside
-    ``(watermark − |W|, watermark]``, then evaluates from scratch.
-    """
-    w = F.col("ts")
-    latest = (
-        sgts.filter(w <= watermark)
-        .withColumn(
-            "rn",
-            F.row_number().over(
-                Window.partitionBy("src", "dst", "label").orderBy(
-                    F.col("ts").desc()
-                )
-            ),
-        )
-        .filter(F.col("rn") == 1)
-        .filter((F.col("op") == "+") & (w > watermark - window))
-        .select("src", "dst", "label")
-    )
-    return batch_rapq(latest, dfa)

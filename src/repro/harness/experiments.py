@@ -15,7 +15,7 @@ import time
 from ..core.queries import Query, make_query, workload
 from ..core.rapq import RAPQEngine
 from ..core.rspq import RSPQEngine
-from ..rpq_oracle import Sgt
+from ..rpq_oracle import Sgt, snapshot_edges
 from ..streams.generators import dataset_stream, with_deletions
 from ..streams.gmark import gmark_stream, gmark_workload
 from .runner import RunMetrics, run_engine
@@ -116,11 +116,8 @@ def table2_queries() -> list[dict]:
     for name, template in TEMPLATES.items():
         per_ds = {}
         for ds in ("so", "ldbc", "yago"):
-            try:
-                qs = [q for q in workload(ds) if q.name == name]
-                per_ds[ds] = qs[0].k if qs else "-"
-            except Exception:  # pragma: no cover - defensive
-                per_ds[ds] = "-"
+            qs = [q for q in workload(ds) if q.name == name]
+            per_ds[ds] = qs[0].k if qs else "-"
         rows.append(
             {
                 "query": name,
@@ -345,6 +342,7 @@ def fig11_speedup(spark, queries=("Q1", "Q2", "Q11"), scale: float = 1.0) -> lis
     paper measures (see EXPERIMENTS.md commentary).
     """
     from ..dataflow.batch_eval import batch_rapq
+    from ..dataflow.product_graph import edges_df
 
     window, slide = 100, 25
     stream = dataset_stream("yago", int(1500 * scale))
@@ -365,23 +363,15 @@ def fig11_speedup(spark, queries=("Q1", "Q2", "Q11"), scale: float = 1.0) -> lis
         inc_results = set(engine.results)
         # Baseline: re-evaluate the window snapshot per slide with Spark.
         t0 = time.perf_counter()
-        seen: dict[tuple, Sgt] = {}
+        prefix: list[Sgt] = []
         base_results: set[tuple[str, str]] = set()
         base_snapshot: set[tuple[str, str]] = set()
         for b in sorted(chunks):
-            for t in chunks[b]:
-                seen[(t.src, t.dst, t.label)] = t
-            wm = max(t.ts for t in chunks[b])
-            live = [
-                (t.src, t.dst, t.label)
-                for t in seen.values()
-                if t.op == "+" and wm - window < t.ts <= wm
-            ]
-            edf = spark.createDataFrame(
-                live, "src STRING, dst STRING, label STRING"
-            )
+            prefix += chunks[b]
+            snap = snapshot_edges(prefix, prefix[-1].ts, window)
             base_snapshot = {
-                (r["x"], r["y"]) for r in batch_rapq(edf, q.dfa).collect()
+                (r["x"], r["y"])
+                for r in batch_rapq(edges_df(spark, snap), q.dfa).collect()
             }
             base_results |= base_snapshot
         batch_s = time.perf_counter() - t0

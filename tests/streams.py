@@ -1,4 +1,5 @@
-"""Random small streams and a brute-force timestamp oracle shared by the suites."""
+"""Random small streams, a brute-force timestamp oracle and the product-graph
+index check shared by the suites."""
 import math
 import random
 
@@ -52,3 +53,26 @@ def best_timestamps(edges, dfa, root):
                     best[(v, t)] = cand
                     changed = True
     return best
+
+
+def check_product_graph(engine):
+    """Assert the engine's product-graph index matches its window graph.
+
+    ``succ`` equals the one rebuilt from the window edges, each product edge
+    with the latest ts of its parallel edges; ``pred`` is exactly its
+    inverse; and neither map keeps an empty entry.
+    """
+    succ: dict = {}
+    for (u, v, lbl), ts in engine.graph.edges.items():
+        for (s, a), t in engine.dfa.trans.items():
+            if a == lbl:
+                out = succ.setdefault((u, s), {})
+                out[(v, t)] = max(ts, out.get((v, t), -math.inf))
+    assert engine.succ == succ, "succ differs from the window's product graph"
+    pred: dict = {}
+    for ukey, out in engine.succ.items():
+        for vkey, ts in out.items():
+            pred.setdefault(vkey, {})[ukey] = ts
+    assert engine.pred == pred, "pred is not the inverse of succ"
+    for name, index in (("succ", engine.succ), ("pred", engine.pred)):
+        assert all(index.values()), f"{name} keeps an empty entry"

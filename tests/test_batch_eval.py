@@ -5,7 +5,7 @@ import pytest
 from repro.core.dfa import compile_regex
 from repro.core.queries import make_query
 from repro.core.regex import parse
-from repro.dataflow.batch_eval import batch_rapq, windowed_recompute
+from repro.dataflow.batch_eval import batch_rapq
 from repro.dataflow.product_graph import edges_df, product_edges, transitions_df
 from repro.oracle import assert_equivalent
 from repro.rpq_oracle import product_edge_rows, rapq_pairs, recursive_cte_sql
@@ -81,22 +81,3 @@ class TestBatchRapqEdgeCases:
             })
             got = pairs_of(batch_rapq(edges_df(spark, edges), q.dfa))
             assert got == rapq_pairs(edges, q.dfa), name
-
-    def test_windowed_recompute_applies_window_and_ops(self, spark):
-        dfa = compile_regex(parse("a b"))
-        sgts = [
-            (1, "x", "y", "a", "+"),
-            (2, "y", "z", "b", "+"),
-            (30, "p", "q", "a", "+"),
-            (31, "q", "r", "b", "+"),
-            (32, "p", "q", "a", "-"),
-        ]
-        df = spark.createDataFrame(
-            sgts, "ts LONG, src STRING, dst STRING, label STRING, op STRING"
-        )
-        # Watermark 32, window 10: only (q,r,b) survives; (p,q,a) deleted.
-        got = pairs_of(windowed_recompute(df, dfa, window=10, watermark=32))
-        assert got == set()
-        # Large window, watermark before the delete: both paths alive.
-        got2 = pairs_of(windowed_recompute(df, dfa, window=100, watermark=31))
-        assert got2 == {("x", "z"), ("p", "r")}

@@ -7,6 +7,7 @@ from repro.harness.experiments import (
     fig5_index_size,
     fig6_scalability,
     fig10_deletions,
+    fig11_speedup,
     gmark_summary,
     table1_complexity,
     table2_queries,
@@ -121,6 +122,17 @@ class TestExperimentDrivers:
         rows = fig10_deletions(scale=0.15, queries=("Q1",))
         assert len(rows) == 3
         assert [r["del_ratio_pct"] for r in rows] == [2, 5, 10]
+
+    def test_fig11_rows(self, spark):
+        """The driver asserts that the per-slide batch baseline's results lie
+        within the incremental engine's before it reports a row."""
+        rows = fig11_speedup(spark, queries=("Q11",), scale=0.1)
+        assert [list(r) for r in rows] == [["query", "slides", "incremental_ms_per_slide",
+                                            "batch_reeval_ms_per_slide", "speedup"]]
+        (row,) = rows
+        assert row["query"] == "Q11" and row["slides"] > 0
+        assert row["incremental_ms_per_slide"] > 0 and row["batch_reeval_ms_per_slide"] > 0
+        assert isinstance(row["speedup"], int)
 
     def test_gmark_summary_buckets(self):
         rows = [

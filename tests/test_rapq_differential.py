@@ -21,7 +21,7 @@ from repro.rpq_oracle import (
     streaming_reference,
 )
 
-from .streams import best_timestamps, random_stream
+from .streams import best_timestamps, check_product_graph, random_stream
 
 QUERIES = [
     "a*",
@@ -49,17 +49,10 @@ def check_index(engine):
     parent chain ends at the root, ``states_of`` / ``vertex_trees`` agree
     with the trees, each tree's ``floor`` is a lower bound on its nodes' ts,
     and each finite floor has a floor-heap entry at or below it. The
-    product successor index ``succ`` equals the one rebuilt from the window
-    edges, each product edge with the latest ts of its parallel edges.
+    product-graph index agrees with the window (:func:`check_product_graph`).
     """
     dfa, edges = engine.dfa, engine.graph.edges
-    succ: dict = {}
-    for (u, v, lbl), ts in edges.items():
-        for (s, a), t in dfa.trans.items():
-            if a == lbl:
-                out = succ.setdefault((u, s), {})
-                out[(v, t)] = max(ts, out.get((v, t), -math.inf))
-    assert engine.succ == succ, "succ differs from the window's product graph"
+    check_product_graph(engine)
     lowest_entry: dict = {}
     for f, x in engine._floors:
         lowest_entry[x] = min(f, lowest_entry.get(x, math.inf))

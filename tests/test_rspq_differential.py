@@ -23,7 +23,7 @@ from repro.rpq_oracle import (
     streaming_reference,
 )
 
-from .streams import random_stream
+from .streams import check_product_graph, random_stream
 
 QUERIES = [
     "a*",
@@ -123,9 +123,11 @@ def check_rspq_index(engine):
     ``states_of``, ``marked`` (a marked key occurs once) and
     ``vertex_trees`` agree with ``occ``. Each tree's ``floor`` is at most
     its occurrences' ts, and each finite floor has a floor-heap entry at or
-    below it.
+    below it. The product-graph index, which Extend walks, agrees with the
+    window (:func:`check_product_graph`).
     """
     dfa, edges = engine.dfa, engine.graph.edges
+    check_product_graph(engine)
     lowest_entry: dict = {}
     for f, x in engine._floors:
         lowest_entry[x] = min(f, lowest_entry.get(x, math.inf))
@@ -243,6 +245,17 @@ def test_deleting_one_parallel_edge_keeps_the_other():
     ]
     engine = replay_per_step("(a|b)+", stream, window=10)
     assert ("x", "y") in engine.derivable_pairs()
+
+
+def test_occurrence_over_parallel_edges_takes_their_latest_ts():
+    """v→w over a (ts 1) and b (ts 2) both drive (a|b)+ to its final state:
+    the occurrence (w, s) that T_u reaches through v carries ts 2, the
+    latest of the two, not the first edge's ts 1."""
+    stream = [Sgt(1, "v", "w", "a"), Sgt(2, "v", "w", "b"), Sgt(3, "u", "v", "a")]
+    engine = replay_per_step("(a|b)+", stream, window=10)
+    s = engine.dfa.delta(engine.dfa.start, "a")
+    (occurrence,) = engine.trees["u"].occ[("w", s)]
+    assert occurrence.ts == 2
 
 
 def test_delete_with_a_top_inside_another_tops_subtree():
