@@ -9,12 +9,13 @@ reuses the §3 machinery for ExpiryRSPQ and Delete (§4.1, §3.2);
 :class:`DeltaEngine` is that machinery: the per-tuple driver, the expiry
 driver and the Delete driver.
 
-A subclass sets ``tree_type``: a tree with ``root``, ``floor`` (a lower bound
-on its nodes' ts), ``size``, ``states_of`` (vertex -> states present) and
-``tighten_floor()``. It provides the per-edge step ``_process_edge``
-(Insert, or Extend/Unmark), the per-tree "prune and reconnect" step
-``_expire_tree``, Delete's tree-edge marking ``_mark_deleted`` and the
-result predicate ``_derivable``.
+A subclass sets ``tree_type``: a tree with ``root``, ``nodes`` (its nodes,
+keyed by product pair ``(v, s)``: §5.1.1's node-lookup index, probed per
+state through the DFA's ``by_label``), ``floor`` (a lower bound on its
+nodes' ts), ``size`` and ``tighten_floor()``. It provides the per-tree step
+of a new edge ``_process_edge`` (Insert, or Extend/Unmark), the per-tree
+"prune and reconnect" step ``_expire_tree``, Delete's tree-edge marking
+``_mark_deleted`` and the result predicate ``_derivable``.
 """
 from __future__ import annotations
 
@@ -127,7 +128,14 @@ class DeltaEngine:
         if label in self.dfa.start_labels and u not in self.trees and self._owns(u):
             self.trees[u] = self.tree_type(u, self.dfa.start)
             self.vertex_trees.setdefault(u, set()).add(u)
-        results = self._process_edge(u, v, label, tau)
+        results: set[tuple[str, str]] = set()
+        step = self.dfa.by_label[label]
+        for x in list(self.vertex_trees.get(u, ())):
+            tree = self.trees[x]
+            floor = tree.floor
+            self._process_edge(tree, u, v, step, tau, results)
+            if tree.floor < floor:  # a new node lowered it: keep an entry at or below
+                heappush(self._floors, (tree.floor, x))
         self._report(results, tau)
         return results
 
@@ -143,11 +151,12 @@ class DeltaEngine:
         After ``expire(τ)`` this equals the batch result on ``G_{W,τ}`` —
         the invariant the differential tests check.
         """
+        finals = self.dfa.finals
         return {
             (x, v)
             for x, tree in self.trees.items()
-            for v in tree.states_of
-            if self._derivable(x, v)
+            for v, s in tree.nodes
+            if s in finals and self._derivable(x, v)
         }
 
     @property
@@ -176,7 +185,7 @@ class DeltaEngine:
     # expiry driver (ExpiryRAPQ / ExpiryRSPQ)
     # ------------------------------------------------------------------
 
-    def expire(self, tau: float, invalidate: bool = False) -> set[tuple[str, str]]:
+    def expire(self, tau: float, invalidate: bool = False) -> None:
         """Remove expired nodes, reconnecting subtrees through valid edges.
 
         Only the trees whose floor-heap entries are ``≤ τ − |W|`` are popped;
@@ -184,15 +193,16 @@ class DeltaEngine:
         and is not visited. Each due tree goes through the subclass's
         ``_expire_tree``, which prunes the nodes with ``ts ≤ τ − |W|`` and
         reconnects what it can. Keys that lost every node are gone for good;
-        with ``invalidate=True`` (the explicit-deletion path) their
-        final-state members are returned and, when no longer derivable,
-        reported as negative results.
+        with ``invalidate=True`` (the explicit-deletion path) the pairs of
+        their final-state members are reported as negative results when no
+        longer derivable.
         """
         now = int(tau) if tau != NEG_INF else 0
         for u, v, label in self.graph.expire(now):
             self._sync_product(u, v, label)
         lo = tau - self.window
         finals = self.dfa.finals
+        states = range(self.dfa.n_states)
         invalidated: set[tuple[str, str]] = set()
         floors = self._floors
         due = []
@@ -213,14 +223,13 @@ class DeltaEngine:
                 heappush(floors, (tree.floor, x))
                 continue
             # Maintain the reverse index and collect invalidations.
-            states_of = tree.states_of
+            nodes = tree.nodes
             for v, t in pruned:
-                states = states_of.get(v)
-                if states is not None and t in states:
+                if (v, t) in nodes:
                     continue  # reconnected
-                if t in finals:
+                if invalidate and t in finals:
                     invalidated.add((x, v))
-                if states is None:
+                if not any((v, s) in nodes for s in states):
                     self._untrack(v, x)
             # Reconnection may discover pairs not previously reported.
             self._report(reconnected, now)
@@ -230,13 +239,11 @@ class DeltaEngine:
                 self._untrack(x, x)
             else:  # floor unchanged and ≤ lo: due again at the next boundary
                 heappush(floors, (tree.floor, x))
-        if invalidate:
-            for x, v in invalidated:
-                if (x, v) in self.results and not self._derivable(x, v):
-                    del self.results[(x, v)]
-                    if self.on_result is not None:
-                        self.on_result(now, x, v, "-")
-        return invalidated
+        for x, v in invalidated:
+            if (x, v) in self.results and not self._derivable(x, v):
+                del self.results[(x, v)]
+                if self.on_result is not None:
+                    self.on_result(now, x, v, "-")
 
     def _sync_product(self, u: str, v: str, label: str) -> None:
         """Bring ``succ`` and ``pred`` in line with the window after
@@ -283,7 +290,7 @@ class DeltaEngine:
     # Algorithm Delete (§3.2)
     # ------------------------------------------------------------------
 
-    def _delete(self, u: str, v: str, label: str, tau: int) -> set[tuple[str, str]]:
+    def _delete(self, u: str, v: str, label: str, tau: int) -> None:
         """Process a negative tuple: mark affected subtrees expired, re-expire.
 
         A deleted edge matters only where it is a *tree edge* (Definition
@@ -293,7 +300,7 @@ class DeltaEngine:
         drops the marked nodes.
         """
         if not self.graph.delete(u, v, label):
-            return set()
+            return
         self._sync_product(u, v, label)
         touched = False
         for x in list(self.vertex_trees.get(v, ())):
@@ -302,6 +309,5 @@ class DeltaEngine:
                 tree.floor = NEG_INF
                 heappush(self._floors, (NEG_INF, x))
                 touched = True
-        if not touched:
-            return set()
-        return self.expire(tau, invalidate=True)
+        if touched:
+            self.expire(tau, invalidate=True)

@@ -3,8 +3,9 @@
 Implements the paper's §3 algorithms over the Δ tree index (Definition 12),
 on the engine skeleton of :mod:`repro.core.engine`:
 
-* **RAPQ** (:meth:`RAPQEngine._process_edge`) — per-tuple traversal of the
-  product graph, guided by the query DFA;
+* **RAPQ** (:meth:`RAPQEngine._process_edge`, run per tree by
+  :meth:`~repro.core.engine.DeltaEngine.process`) — per-tuple traversal of
+  the product graph, guided by the query DFA;
 * **Insert** (:meth:`RAPQEngine._insert`) — tree extension with timestamp
   maintenance, run best-first (a widest-path Dijkstra) so that each node is
   settled at most once per tuple and tree, over the product-graph
@@ -19,6 +20,8 @@ on the engine skeleton of :mod:`repro.core.engine`:
   walking parent pointers (:func:`~repro.core.engine.below_tops`), and let
   the shared expiry machinery reconnect or drop it (§3.2).
 
+A tree keeps its nodes in one map keyed by ``(v, s)``
+(``SpanningTree.nodes``), probed per state through the DFA's ``by_label``.
 Each tree node ``(v, s)`` stores its parent pointer ``(v, s).pt``, the only
 record of its tree edge (Definition 12), and the timestamp of its best
 witnessing path from the root ``(x, s0)``: the maximum, over the paths in
@@ -57,16 +60,15 @@ class _Node:
 class SpanningTree:
     """A spanning tree ``T_x`` rooted at ``(x, s0)`` (Definition 12)."""
 
-    __slots__ = ("root", "root_key", "nodes", "states_of", "floor")
+    __slots__ = ("root", "root_key", "nodes", "floor")
 
     def __init__(self, root: str, start_state: int):
         self.root = root
         self.root_key: Key = (root, start_state)
+        # (v, s) -> node: the node-lookup index (§5.1.1)
         self.nodes: dict[Key, _Node] = {
             self.root_key: _Node(self.root_key, INF, None)
         }
-        # vertex -> set of states it appears in (node-lookup index, §5.1.1)
-        self.states_of: dict[str, set[int]] = {root: {start_state}}
         # Lower bound on every node's ts: expiry skips the tree while it is
         # above the window's lower edge. Relinks only raise ts, so only
         # ``add`` and Delete's −∞ marking have to lower it.
@@ -77,20 +79,11 @@ class SpanningTree:
             self.floor = ts
         node = _Node(key, ts, parent)
         self.nodes[key] = node
-        self.states_of.setdefault(key[0], set()).add(key[1])
         return node
 
     def relink(self, node: _Node, new_parent: Key, ts: float) -> None:
         node.parent = new_parent
         node.ts = ts
-
-    def remove(self, key: Key) -> None:
-        del self.nodes[key]
-        states = self.states_of.get(key[0])
-        if states is not None:
-            states.discard(key[1])
-            if not states:
-                del self.states_of[key[0]]
 
     def tighten_floor(self) -> None:
         self.floor = min(map(attrgetter("ts"), self.nodes.values()))
@@ -123,27 +116,23 @@ class RAPQEngine(DeltaEngine):
     # ------------------------------------------------------------------
 
     def _process_edge(
-        self, u: str, v: str, label: str, tau: int
-    ) -> set[tuple[str, str]]:
-        results: set[tuple[str, str]] = set()
-        step = self.dfa.by_label[label]
-        for x in list(self.vertex_trees.get(u, ())):
-            tree = self.trees.get(x)
-            if tree is None:
+        self, tree: SpanningTree, u: str, v: str, step: dict[int, int], tau: int,
+        results: set[tuple[str, str]],
+    ) -> None:
+        """Insert the product edges ``(u, s) → (v, t)`` of the new edge into
+        ``tree``, for each ``s → t`` of ``step`` whose ``(u, s)`` it holds."""
+        nodes = tree.nodes
+        seeds = []
+        for s, t in step.items():
+            node = nodes.get((u, s))
+            if node is None:
                 continue
-            nodes = tree.nodes
-            seeds = []
-            for s in tree.states_of.get(u, ()):
-                t = step.get(s)
-                if t is None:
-                    continue
-                cand = min(tau, nodes[(u, s)].ts)
-                existing = nodes.get((v, t))
-                if existing is None or existing.ts < cand:
-                    seeds.append((cand, (u, s), (v, t)))
-            if seeds:
-                self._insert(tree, seeds, results)
-        return results
+            cand = min(tau, node.ts)
+            existing = nodes.get((v, t))
+            if existing is None or existing.ts < cand:
+                seeds.append((cand, (u, s), (v, t)))
+        if seeds:
+            self._insert(tree, seeds, results)
 
     # ------------------------------------------------------------------
     # Algorithm Insert (best-first)
@@ -176,7 +165,6 @@ class RAPQEngine(DeltaEngine):
         succ = self.succ
         vertex_trees = self.vertex_trees
         root = tree.root
-        floor = tree.floor
         heap = [(-cand, seq, pkey, ckey) for seq, (cand, pkey, ckey) in enumerate(seeds)]
         heapify(heap)
         seq = len(heap)
@@ -206,8 +194,6 @@ class RAPQEngine(DeltaEngine):
                     seq += 1
                     heappush(heap, (-child_cand, seq, ckey, wkey))
         self.insert_calls += pops
-        if tree.floor < floor:
-            heappush(self._floors, (tree.floor, root))
 
     # ------------------------------------------------------------------
     # Algorithm ExpiryRAPQ
@@ -232,7 +218,7 @@ class RAPQEngine(DeltaEngine):
         # Descendants of an expired node are expired too (child ts ≤
         # parent ts), so every surviving node is a valid parent.
         for key in candidates:
-            tree.remove(key)
+            del nodes[key]
         pred = self.pred
         seeds = []
         for ckey in candidates:
@@ -255,10 +241,8 @@ class RAPQEngine(DeltaEngine):
         tree = self.trees.get(x)
         if tree is None:
             return False
-        return any(
-            s in self.dfa.finals and (v, s) != tree.root_key
-            for s in tree.states_of.get(v, ())
-        )
+        nodes = tree.nodes
+        return any((v, s) in nodes and (v, s) != tree.root_key for s in self.dfa.finals)
 
     # ------------------------------------------------------------------
     # Algorithm Delete (§3.2)
@@ -272,11 +256,11 @@ class RAPQEngine(DeltaEngine):
         Returns whether any subtree was marked.
         """
         nodes = tree.nodes
-        tops = []
-        for t in tree.states_of.get(v, ()):
-            parent = nodes[(v, t)].parent
-            if parent is not None and parent[0] == u and self.dfa.delta(parent[1], label) == t:
-                tops.append((v, t))
+        tops = [
+            (v, t)
+            for s, t in self.dfa.by_label[label].items()
+            if (node := nodes.get((v, t))) is not None and node.parent == (u, s)
+        ]
         if not tops:
             return False
         for key in below_tops(tops, tree.root_key, nodes, lambda k: nodes[k].parent):

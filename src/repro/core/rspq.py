@@ -3,8 +3,8 @@
 Key differences from Algorithm RAPQ (paper §4.1):
 
 * a vertex may be visited in the same DFA state more than once in a tree when
-  a **conflict** is present, so trees hold *occurrence nodes* rather than
-  unique ``(v, s)`` keys;
+  a **conflict** is present, so a tree maps each ``(v, s)`` key to a list of
+  *occurrence nodes* (``RSPQTree.nodes``), not to one node;
 * each tree maintains a set of **markings** ``M_x`` — keys with no
   conflict-predecessor descendants — used to prune repeat visits whenever
   safe;
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from heapq import heappush
 from operator import attrgetter
 from typing import Callable
 
@@ -87,17 +86,16 @@ class _PathNode:
 class RSPQTree:
     """Spanning tree ``T_x`` with occurrence nodes and markings ``M_x``."""
 
-    __slots__ = ("root", "root_node", "occ", "marked", "states_of", "floor")
+    __slots__ = ("root", "root_node", "nodes", "marked", "floor")
 
     def __init__(self, root: str, start_state: int):
         self.root = root
         self.root_node = _PathNode((root, start_state), INF, None)
-        self.occ: dict[Key, list[_PathNode]] = {
+        # (v, s) -> its live occurrences: the node-lookup index (§5.1.1)
+        self.nodes: dict[Key, list[_PathNode]] = {
             (root, start_state): [self.root_node]
         }
         self.marked: set[Key] = set()
-        # vertex -> states it occurs in (hash-based node lookup index, §5.1.1)
-        self.states_of: dict[str, set[int]] = {root: {start_state}}
         # Lower bound on every occurrence's ts (see ``SpanningTree.floor``).
         # Occurrences never change ts, so only ``add_child`` and Delete's −∞
         # marking have to lower it.
@@ -107,28 +105,22 @@ class RSPQTree:
         if ts < self.floor:
             self.floor = ts
         node = _PathNode(key, ts, parent)
-        self.occ.setdefault(key, []).append(node)
-        self.states_of.setdefault(key[0], set()).add(key[1])
+        self.nodes.setdefault(key, []).append(node)
         return node
 
     def detach(self, node: _PathNode) -> None:
         """Remove one live occurrence node; its descendants must go too."""
-        occs = self.occ[node.key]
+        occs = self.nodes[node.key]
         occs.remove(node)
         if not occs:
-            del self.occ[node.key]
-            v, s = node.key
-            states = self.states_of[v]
-            states.discard(s)
-            if not states:
-                del self.states_of[v]
+            del self.nodes[node.key]
 
     def tighten_floor(self) -> None:
-        self.floor = min(n.ts for occs in self.occ.values() for n in occs)
+        self.floor = min(n.ts for occs in self.nodes.values() for n in occs)
 
     @property
     def size(self) -> int:
-        return sum(len(v) for v in self.occ.values())
+        return sum(len(v) for v in self.nodes.values())
 
 
 class _PathCtx:
@@ -205,24 +197,16 @@ class RSPQEngine(DeltaEngine):
     # ------------------------------------------------------------------
 
     def _process_edge(
-        self, u: str, v: str, label: str, tau: int
-    ) -> set[tuple[str, str]]:
-        results: set[tuple[str, str]] = set()
-        step = self.dfa.by_label[label]
-        for x in list(self.vertex_trees.get(u, ())):
-            tree = self.trees.get(x)
-            if tree is None:
-                continue
-            floor = tree.floor
-            for s in list(tree.states_of.get(u, ())):
-                t = step.get(s)
-                if t is None:
-                    continue
-                for node in list(tree.occ.get((u, s), ())):
-                    self._extend(tree, node, (v, t), tau, results)
-            if tree.floor < floor:
-                heappush(self._floors, (tree.floor, x))
-        return results
+        self, tree: RSPQTree, u: str, v: str, step: dict[int, int], tau: int,
+        results: set[tuple[str, str]],
+    ) -> None:
+        """Extend every occurrence ``(u, s)`` of ``tree`` with ``(v, t)``, for
+        each ``s → t`` of ``step``; the states are those ``u`` occurs in
+        before the first Extend."""
+        nodes = tree.nodes
+        for s, t in [(s, t) for s, t in step.items() if (u, s) in nodes]:
+            for node in list(nodes[(u, s)]):
+                self._extend(tree, node, (v, t), tau, results)
 
     # ------------------------------------------------------------------
     # Algorithm Extend
@@ -266,7 +250,7 @@ class RSPQEngine(DeltaEngine):
         if key in tree.marked:
             return
         node = tree.add_child(parent, key, min(edge_ts, parent.ts))
-        if len(tree.occ[key]) == 1:  # first occurrence of (v,t) in T_x
+        if len(tree.nodes[key]) == 1:  # first occurrence of (v,t) in T_x
             tree.marked.add(key)
         self.vertex_trees.setdefault(v, set()).add(tree.root)
         # A revisit of the root vertex is never reported: the containment
@@ -307,7 +291,7 @@ class RSPQEngine(DeltaEngine):
         """Extend every occurrence of a product-graph predecessor of ``key``
         (``pred``) with ``key``."""
         for pkey, e_ts in self.pred.get(key, {}).items():
-            for pnode in list(tree.occ.get(pkey, ())):
+            for pnode in list(tree.nodes.get(pkey, ())):
                 self._extend(tree, pnode, key, e_ts, results)
 
     # ------------------------------------------------------------------
@@ -326,7 +310,7 @@ class RSPQEngine(DeltaEngine):
         re-extends each surviving parent of a pruned occurrence over the
         product edge that still leads there (see the module docstring).
         """
-        expired = [n for occs in tree.occ.values() for n in occs
+        expired = [n for occs in tree.nodes.values() for n in occs
                    if n.ts <= lo and n.parent is not None]
         if not expired:
             return set()
@@ -336,7 +320,7 @@ class RSPQEngine(DeltaEngine):
         cut = [(n.parent, n.key) for n in expired if n.parent.ts > lo] if invalidate else ()
         for n in expired:
             tree.detach(n)
-        tree.marked -= {k for k in pruned if k not in tree.occ}
+        tree.marked -= {k for k in pruned if k not in tree.nodes}
         for parent, key in cut:
             # Delete cannot tell parallel edges that drive the same transition
             # apart: re-extend the parent over the product edge if one remains.
@@ -344,7 +328,7 @@ class RSPQEngine(DeltaEngine):
             if e_ts is not None:
                 self._extend(tree, parent, key, e_ts, results)
         for key in was_marked:
-            if key not in tree.occ:
+            if key not in tree.nodes:
                 self._reexplore(tree, key, results)
         return pruned
 
@@ -356,7 +340,7 @@ class RSPQEngine(DeltaEngine):
         tree = self.trees.get(x)
         if tree is None or v == x:
             return False
-        return any(s in self.dfa.finals for s in tree.states_of.get(v, ()))
+        return any((v, s) in tree.nodes for s in self.dfa.finals)
 
     # ------------------------------------------------------------------
     # Explicit deletions (§3.2 applied to RSPQ)
@@ -367,14 +351,13 @@ class RSPQEngine(DeltaEngine):
         whose parent is an occurrence ``(u, s)`` with ``δ(s, label) = t``."""
         tops = [
             node
-            for t in tree.states_of.get(v, ())
-            for node in tree.occ[(v, t)]
-            if (p := node.parent) is not None
-            and p.key[0] == u and self.dfa.delta(p.key[1], label) == t
+            for s, t in self.dfa.by_label[label].items()
+            for node in tree.nodes.get((v, t), ())
+            if (p := node.parent) is not None and p.key == (u, s)
         ]
         if not tops:
             return False
-        members = (n for occs in tree.occ.values() for n in occs)
+        members = (n for occs in tree.nodes.values() for n in occs)
         for n in below_tops(tops, tree.root_node, members, attrgetter("parent")):
             n.ts = NEG_INF
         return True

@@ -82,7 +82,7 @@ class ShardEngine(RAPQEngine):
         for x, y in self.derivable_pairs() - self.emitted:
             tree = self.trees[x]
             # The root's ts is +∞, so it never wins the minimum.
-            ts = min(tree.nodes[(y, s)].ts for s in tree.states_of[y] if s in finals)
+            ts = min(tree.nodes[(y, s)].ts for s in finals if (y, s) in tree.nodes)
             new.append((x, y, int(ts)))
             self.emitted.add((x, y))
         return new

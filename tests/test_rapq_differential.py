@@ -46,8 +46,8 @@ def check_index(engine):
     graph, each with its best max-min path timestamp (§3.1). Every tree edge,
     stored once as the child's parent pointer, is a live window edge that
     drives the DFA transition, a child's ts is at most its parent's, each
-    parent chain ends at the root, ``states_of`` / ``vertex_trees`` agree
-    with the trees, each tree's ``floor`` is a lower bound on its nodes' ts,
+    parent chain ends at the root, ``vertex_trees`` agrees with the trees'
+    nodes, each tree's ``floor`` is a lower bound on its nodes' ts,
     and each finite floor has a floor-heap entry at or below it. The
     product-graph index agrees with the window (:func:`check_product_graph`).
     """
@@ -83,13 +83,9 @@ def check_index(engine):
                     break
                 parent = nodes[parent.parent]
             assert parent is root, f"T_{x}: {key}'s parent chain ends at {parent.key}, not the root"
-        states_of: dict = {}
-        for v, s in nodes:
-            states_of.setdefault(v, set()).add(s)
-        assert tree.states_of == states_of
     vertex_trees: dict = {}
     for x, tree in engine.trees.items():
-        for v in tree.states_of:
+        for v, _ in tree.nodes:
             vertex_trees.setdefault(v, set()).add(x)
     assert engine.vertex_trees == vertex_trees
 
@@ -414,10 +410,9 @@ def replay_checking_scans(monkeypatch, query, window, slide, stream):
         lo = tau - engine.window
         due = sorted(x for x, tree in engine.trees.items() if tree.floor <= lo)
         scans.clear()
-        result = original_expire(tau, invalidate)
+        original_expire(tau, invalidate)
         assert sorted(scans) == due, f"expire({tau}) scanned {sorted(scans)}, due {due}"
         calls.append((tau, due))
-        return result
 
     engine.expire = expire
     for t in stream:

@@ -190,6 +190,22 @@ class TestExplicitDeletions:
         e.process(Sgt(3, "q", "q2", "zzz", "-"))  # absent edge: no-op
         assert e.derivable_pairs() == before
 
+    def test_delete_parallel_edge_of_another_transition_leaves_tree(self):
+        """u→v:a and u→v:b both lead to v's final state F, from different
+        states of u. T_u reaches (v, F) from (u, s0) over a; deleting
+        u→v:b (which drives only (u, s1) → (v, F)) cuts no tree edge, so
+        (v, F) is neither marked nor rebuilt."""
+        e = engine_for("a | c b", window=100)
+        e.process(Sgt(1, "u", "v", "a"))
+        e.process(Sgt(2, "u", "v", "b"))
+        tree = e.trees["u"]
+        (final,) = e.dfa.finals
+        node = tree.nodes[("v", final)]
+        assert node.parent == ("u", e.dfa.start)
+        e.process(Sgt(3, "u", "v", "b", "-"))
+        assert tree.nodes[("v", final)] is node and tree.floor == 1
+        assert e.expiry_scans == 0
+
     def test_delete_then_reinsert(self):
         e = engine_for("a", window=100)
         e.process(Sgt(1, "x", "y", "a"))

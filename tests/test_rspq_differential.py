@@ -114,17 +114,17 @@ def test_rspq_equals_rapq_on_acyclic_stream():
 def check_rspq_index(engine):
     """Assert the RSPQ index's structural invariants.
 
-    ``occ`` lists the root and live occurrences only: none has a ts at or
+    ``nodes`` lists the root and live occurrences only: none has a ts at or
     below ``τ − |W|`` of the last slide boundary τ. Every listed
     occurrence other than the root has a listed parent (the tree edge is
     stored once, as that pointer) with a ts at least its own; its tree edge
     is a window edge that drives the DFA transition, with a ts at least the
     occurrence's; and its parent chain ends at ``root_node``.
-    ``states_of``, ``marked`` (a marked key occurs once) and
-    ``vertex_trees`` agree with ``occ``. Each tree's ``floor`` is at most
-    its occurrences' ts, and each finite floor has a floor-heap entry at or
-    below it. The product-graph index, which Extend walks, agrees with the
-    window (:func:`check_product_graph`).
+    ``marked`` (a marked key occurs once) and ``vertex_trees`` agree with
+    ``nodes``. Each tree's ``floor`` is at most its occurrences' ts, and
+    each finite floor has a floor-heap entry at or below it. The
+    product-graph index, which Extend walks, agrees with the window
+    (:func:`check_product_graph`).
     """
     dfa, edges = engine.dfa, engine.graph.edges
     check_product_graph(engine)
@@ -137,10 +137,10 @@ def check_rspq_index(engine):
         root = tree.root_node
         assert tree.root == x and root.key == (x, dfa.start)
         assert root.parent is None and root.ts == math.inf
-        listed = [n for occs in tree.occ.values() for n in occs]
-        assert all(n.key == key for key, occs in tree.occ.items() for n in occs)
+        listed = [n for occs in tree.nodes.values() for n in occs]
+        assert all(n.key == key for key, occs in tree.nodes.items() for n in occs)
         ids = set(map(id, listed))
-        assert len(ids) == len(listed) and id(root) in ids, f"T_{x}: occ lists a node twice or not the root"
+        assert len(ids) == len(listed) and id(root) in ids, f"T_{x}: nodes lists a node twice or not the root"
         for node in listed:
             assert node.ts > lo, f"T_{x}: expired {node} still listed"
             if node is root:
@@ -161,12 +161,9 @@ def check_rspq_index(engine):
         assert tree.floor <= min(n.ts for n in listed), f"T_{x}: floor too high"
         if tree.floor < math.inf:
             assert lowest_entry.get(x, math.inf) <= tree.floor, f"T_{x}: no heap entry for its floor"
-        states_of: dict = {}
-        for v, s in tree.occ:
-            states_of.setdefault(v, set()).add(s)
+        for v, _ in tree.nodes:
             vertex_trees.setdefault(v, set()).add(x)
-        assert tree.states_of == states_of
-        assert all(len(tree.occ.get(key, ())) == 1 for key in tree.marked), f"T_{x}: bad marking"
+        assert all(len(tree.nodes.get(key, ())) == 1 for key in tree.marked), f"T_{x}: bad marking"
     assert engine.vertex_trees == vertex_trees
 
 
@@ -254,14 +251,14 @@ def test_occurrence_over_parallel_edges_takes_their_latest_ts():
     stream = [Sgt(1, "v", "w", "a"), Sgt(2, "v", "w", "b"), Sgt(3, "u", "v", "a")]
     engine = replay_per_step("(a|b)+", stream, window=10)
     s = engine.dfa.delta(engine.dfa.start, "a")
-    (occurrence,) = engine.trees["u"].occ[("w", s)]
+    (occurrence,) = engine.trees["u"].nodes[("w", s)]
     assert occurrence.ts == 2
 
 
 def test_delete_with_a_top_inside_another_tops_subtree():
     """Deleting u→v:a cuts two tree edges on one path of T_x: (v,0) under
     (u,0), and (v,1) under (u,1), which lies in (v,0)'s subtree. The (w,1)
-    on that path is listed in ``occ`` before its parent (m,0): its key's
+    on that path is listed in ``nodes`` before its parent (m,0): its key's
     first occurrences, unmarked by a conflict at x, have expired."""
     query = "a* b? a* c a*"
     dfa = compile_regex(parse(query))
@@ -279,14 +276,14 @@ def test_delete_with_a_top_inside_another_tops_subtree():
         Sgt(8, "u", "y", "c"),
     ]
     tree = replay_per_step(query, stream[:7], window=6).trees["x"]
-    (v0,), (v1,) = tree.occ[("v", s0)], tree.occ[("v", s1)]
-    (m0,), (w1,) = tree.occ[("m", s0)], tree.occ[("w", s1)]
+    (v0,), (v1,) = tree.nodes[("v", s0)], tree.nodes[("v", s1)]
+    (m0,), (w1,) = tree.nodes[("m", s0)], tree.nodes[("w", s1)]
     assert v1.parent.key == ("u", s1) and v1.parent.parent is w1
     assert w1.parent is m0 and m0.parent is v0 and v0.parent.key == ("u", s0)
-    keys = list(tree.occ)
+    keys = list(tree.nodes)
     assert keys.index(("w", s1)) < keys.index(("m", s0))
     tree = replay_per_step(query, stream, window=6).trees["x"]
-    assert set(tree.occ) == {("x", s0), ("u", s0), ("y", dfa.delta(s0, "c"))}
+    assert set(tree.nodes) == {("x", s0), ("u", s0), ("y", dfa.delta(s0, "c"))}
 
 
 @pytest.mark.parametrize("slide", [2, 5])

@@ -102,7 +102,7 @@ class TestMarkings:
         for t in stream:
             e.process(t)
         for tree in e.trees.values():
-            for key, occs in tree.occ.items():
+            for key, occs in tree.nodes.items():
                 assert len(occs) == 1, (tree.root, key)
 
     def test_budget_exceeded_raises(self):
@@ -183,6 +183,19 @@ class TestExplicitDeletions:
         e.process(Sgt(4, "w", "z", "b"))
         e.process(Sgt(5, "x", "y", "a", "-"))
         assert ("x", "z") in e.derivable_pairs()
+
+    def test_delete_parallel_edge_of_another_transition_leaves_tree(self):
+        """As in RAPQ: deleting u→v:b, which drives only (u, s1) → (v, F),
+        leaves the occurrence of (v, F) that hangs off (u, s0) over u→v:a."""
+        e = engine_for("a | c b", window=100)
+        e.process(Sgt(1, "u", "v", "a"))
+        e.process(Sgt(2, "u", "v", "b"))
+        tree = e.trees["u"]
+        (final,) = e.dfa.finals
+        (occurrence,) = tree.nodes[("v", final)]
+        assert occurrence.parent is tree.root_node
+        e.process(Sgt(3, "u", "v", "b", "-"))
+        assert tree.nodes[("v", final)] == [occurrence] and tree.floor == 1
 
 
 class TestMalformedInput:
