@@ -13,9 +13,16 @@ A subclass sets ``tree_type``: a tree with ``root``, ``nodes`` (its nodes,
 keyed by product pair ``(v, s)``: §5.1.1's node-lookup index, probed per
 state through the DFA's ``by_label``), ``floor`` (a lower bound on its
 nodes' ts), ``size`` and ``tighten_floor()``. It provides the per-tree step
-of a new edge ``_process_edge`` (Insert, or Extend/Unmark), the per-tree
-"prune and reconnect" step ``_expire_tree``, Delete's tree-edge marking
-``_mark_deleted`` and the result predicate ``_derivable``.
+of a new edge, ``_process_edge(tree, edges, tau, results)`` (Insert, or
+Extend/Unmark), the per-tree "prune and reconnect" step ``_expire_tree``,
+Delete's tree-edge marking ``_mark_deleted`` and the result predicate
+``_derivable``.
+
+``process`` builds a new window edge's product edges ``((u, s), (v, t))``
+once per tuple (``_sync_product`` returns them, in ``DFA.by_label`` order)
+and hands that one list to the step of every tree that holds ``u``. The
+step adds the pairs the tree gains to ``results``; ``process`` keeps the
+floor heap and drops a tree it created for this tuple that gained nothing.
 """
 from __future__ import annotations
 
@@ -122,20 +129,26 @@ class DeltaEngine:
         if label not in self.dfa.alphabet:
             return set()  # tuples whose label is not in Σ_Q are discarded (§5.2)
         self.graph.insert(u, v, label, tau)
-        self._sync_product(u, v, label)
+        edges = self._sync_product(u, v, label)
         # A new path can start at u if δ(s0, label) is defined: materialize
         # T_u so the per-edge step extends it (Δ's root set).
+        created = None
         if label in self.dfa.start_labels and u not in self.trees and self._owns(u):
-            self.trees[u] = self.tree_type(u, self.dfa.start)
-            self.vertex_trees.setdefault(u, set()).add(u)
+            created = self.trees[u] = self.tree_type(u, self.dfa.start)
+            self._track(u, u)
         results: set[tuple[str, str]] = set()
-        step = self.dfa.by_label[label]
+        trees, floors = self.trees, self._floors
         for x in list(self.vertex_trees.get(u, ())):
-            tree = self.trees[x]
+            tree = trees[x]
             floor = tree.floor
-            self._process_edge(tree, u, v, step, tau, results)
+            self._process_edge(tree, edges, tau, results)
             if tree.floor < floor:  # a new node lowered it: keep an entry at or below
-                heappush(self._floors, (tree.floor, x))
+                heappush(floors, (tree.floor, x))
+        # A new tree that gained nothing (e.g. `a*` on a self-loop u→u:a) has
+        # no floor-heap entry, so expiry would never reach it: drop it now.
+        if created is not None and created.size == 1:
+            del trees[u]
+            self._untrack(u, u)
         self._report(results, tau)
         return results
 
@@ -229,10 +242,14 @@ class DeltaEngine:
                     continue  # reconnected
                 if invalidate and t in finals:
                     invalidated.add((x, v))
-                if not any((v, s) in nodes for s in states):
+                for s in states:
+                    if (v, s) in nodes:
+                        break
+                else:
                     self._untrack(v, x)
             # Reconnection may discover pairs not previously reported.
-            self._report(reconnected, now)
+            if reconnected:
+                self._report(reconnected, now)
             # Garbage-collect trees reduced to a bare root.
             if tree.size == 1:
                 del self.trees[x]
@@ -245,7 +262,7 @@ class DeltaEngine:
                 if self.on_result is not None:
                     self.on_result(now, x, v, "-")
 
-    def _sync_product(self, u: str, v: str, label: str) -> None:
+    def _sync_product(self, u: str, v: str, label: str) -> list[tuple[Key, Key]]:
         """Bring ``succ`` and ``pred`` in line with the window after
         ``u→v:label`` was inserted, refreshed or removed.
 
@@ -253,20 +270,23 @@ class DeltaEngine:
         latest ts among the parallel window edges ``u→v`` that drive
         ``s → t``: an inserted or refreshed edge is the window's latest, and
         after a removal the ts is recomputed from the edges left. The
-        product edge is dropped only when none of them is left.
+        product edge is dropped only when none of them is left. Returns the
+        label's product edges ``((u, s), (v, t))``, in ``by_label`` order.
         """
-        edges = self.graph.edges
-        ts = edges.get((u, v, label))  # None once the edge is removed
+        window_edges = self.graph.edges
+        ts = window_edges.get((u, v, label))  # None once the edge is removed
         by_label = self.dfa.by_label
         succ, pred = self.succ, self.pred
+        edges = []
         for s, t in by_label[label].items():
             latest = ts
             if latest is None:  # removed: the latest parallel edge left, if any
                 for lbl, step in by_label.items():
-                    e_ts = edges.get((u, v, lbl)) if step.get(s) == t else None
+                    e_ts = window_edges.get((u, v, lbl)) if step.get(s) == t else None
                     if e_ts is not None and (latest is None or e_ts > latest):
                         latest = e_ts
             ukey, vkey = (u, s), (v, t)
+            edges.append((ukey, vkey))
             if latest is not None:
                 succ.setdefault(ukey, {})[vkey] = latest
                 pred.setdefault(vkey, {})[ukey] = latest
@@ -277,6 +297,15 @@ class DeltaEngine:
                 out.pop(b, None)
                 if not out:
                     index.pop(a, None)
+        return edges
+
+    def _track(self, v: str, x: str) -> None:
+        """``T_x`` now holds vertex ``v``: record it in the reverse index."""
+        roots = self.vertex_trees.get(v)
+        if roots is None:
+            self.vertex_trees[v] = {x}
+        else:
+            roots.add(x)
 
     def _untrack(self, v: str, x: str) -> None:
         """``T_x`` no longer holds vertex ``v``: drop it from the reverse index."""

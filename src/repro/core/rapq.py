@@ -5,7 +5,9 @@ on the engine skeleton of :mod:`repro.core.engine`:
 
 * **RAPQ** (:meth:`RAPQEngine._process_edge`, run per tree by
   :meth:`~repro.core.engine.DeltaEngine.process`) — per-tuple traversal of
-  the product graph, guided by the query DFA;
+  the product graph, guided by the query DFA: every tree that holds the new
+  edge's source gets the same list of its product edges, built once per
+  tuple, and seeds Insert from those that would create or raise a node;
 * **Insert** (:meth:`RAPQEngine._insert`) — tree extension with timestamp
   maintenance, run best-first (a widest-path Dijkstra) so that each node is
   settled at most once per tuple and tree, over the product-graph
@@ -116,22 +118,31 @@ class RAPQEngine(DeltaEngine):
     # ------------------------------------------------------------------
 
     def _process_edge(
-        self, tree: SpanningTree, u: str, v: str, step: dict[int, int], tau: int,
+        self, tree: SpanningTree, edges: list[tuple[Key, Key]], tau: int,
         results: set[tuple[str, str]],
     ) -> None:
-        """Insert the product edges ``(u, s) → (v, t)`` of the new edge into
-        ``tree``, for each ``s → t`` of ``step`` whose ``(u, s)`` it holds."""
-        nodes = tree.nodes
-        seeds = []
-        for s, t in step.items():
-            node = nodes.get((u, s))
+        """Insert the new edge's product edges ``(u, s) → (v, t)`` into
+        ``tree``: each one whose ``(u, s)`` the tree holds seeds Insert if it
+        would create or raise ``(v, t)``.
+
+        Most visits seed nothing, so a visit builds no tuple and no list
+        until its first seed, and calls :meth:`_insert` only with one.
+        """
+        get = tree.nodes.get
+        seeds = None
+        for ukey, vkey in edges:
+            node = get(ukey)
             if node is None:
                 continue
-            cand = min(tau, node.ts)
-            existing = nodes.get((v, t))
+            ts = node.ts
+            cand = ts if ts < tau else tau
+            existing = get(vkey)
             if existing is None or existing.ts < cand:
-                seeds.append((cand, (u, s), (v, t)))
-        if seeds:
+                if seeds is None:
+                    seeds = [(cand, ukey, vkey)]
+                else:
+                    seeds.append((cand, ukey, vkey))
+        if seeds is not None:
             self._insert(tree, seeds, results)
 
     # ------------------------------------------------------------------
@@ -163,7 +174,6 @@ class RAPQEngine(DeltaEngine):
         nodes = tree.nodes
         finals = self.dfa.finals
         succ = self.succ
-        vertex_trees = self.vertex_trees
         root = tree.root
         heap = [(-cand, seq, pkey, ckey) for seq, (cand, pkey, ckey) in enumerate(seeds)]
         heapify(heap)
@@ -176,7 +186,7 @@ class RAPQEngine(DeltaEngine):
             node = nodes.get(ckey)
             if node is None:
                 node = tree.add(ckey, cand, pkey)
-                vertex_trees.setdefault(ckey[0], set()).add(root)
+                self._track(ckey[0], root)
                 if ckey[1] in finals:
                     results.add((root, ckey[0]))
             elif node.ts < cand:
@@ -219,14 +229,15 @@ class RAPQEngine(DeltaEngine):
         # parent ts), so every surviving node is a valid parent.
         for key in candidates:
             del nodes[key]
+        self.expiry_scans += len(candidates)
         pred = self.pred
         seeds = []
         for ckey in candidates:
-            self.expiry_scans += 1
             for pkey, e_ts in pred.get(ckey, {}).items():
                 parent = nodes.get(pkey)
                 if parent is not None:
-                    seeds.append((min(e_ts, parent.ts), pkey, ckey))
+                    p_ts = parent.ts
+                    seeds.append((e_ts if e_ts < p_ts else p_ts, pkey, ckey))
         if seeds:
             self._insert(tree, seeds, results)
         return candidates

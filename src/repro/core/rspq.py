@@ -40,13 +40,15 @@ tests against the exhaustive simple-path oracle, see DESIGN.md):
   graph.
 
 The per-tuple, expiry and Delete drivers are RAPQ's, shared through
-:class:`repro.core.engine.DeltaEngine`; occurrence timestamps obey the same
-child ≤ parent order as RAPQ's nodes, so the same per-tree floors apply. As
-in RAPQ, each tree edge is stored once, as the occurrence's parent pointer:
-Delete finds the subtrees to mark by walking those pointers up
-(:func:`~repro.core.engine.below_tops`), and ExpiryRSPQ detaches the
-expired occurrences one by one, since they already include every expired
-occurrence's descendants. Extend, re-exploration and Delete's re-extension
+:class:`repro.core.engine.DeltaEngine`: the per-tuple step
+(:meth:`RSPQEngine._process_edge`) receives the new edge's product edges,
+built once per tuple, and keeps those whose source the tree holds.
+Occurrence timestamps obey the same child ≤ parent order as RAPQ's nodes,
+so the same per-tree floors apply. As in RAPQ, each tree edge is stored
+once, as the occurrence's parent pointer: Delete finds the subtrees to mark
+by walking those pointers up (:func:`~repro.core.engine.below_tops`), and
+ExpiryRSPQ detaches the expired occurrences one by one, since they already
+include every expired occurrence's descendants. Extend, re-exploration and Delete's re-extension
 walk the engine's product graph (``succ``, ``pred``), as RAPQ's Insert and
 reconnection do: parallel edges that drive the same transition are one
 product edge at their latest ts.
@@ -197,16 +199,16 @@ class RSPQEngine(DeltaEngine):
     # ------------------------------------------------------------------
 
     def _process_edge(
-        self, tree: RSPQTree, u: str, v: str, step: dict[int, int], tau: int,
+        self, tree: RSPQTree, edges: list[tuple[Key, Key]], tau: int,
         results: set[tuple[str, str]],
     ) -> None:
         """Extend every occurrence ``(u, s)`` of ``tree`` with ``(v, t)``, for
-        each ``s → t`` of ``step``; the states are those ``u`` occurs in
-        before the first Extend."""
+        each product edge ``(u, s) → (v, t)`` of the new edge; the states are
+        those ``u`` occurs in before the first Extend, in ``by_label`` order."""
         nodes = tree.nodes
-        for s, t in [(s, t) for s, t in step.items() if (u, s) in nodes]:
-            for node in list(nodes[(u, s)]):
-                self._extend(tree, node, (v, t), tau, results)
+        for ukey, vkey in [e for e in edges if e[0] in nodes]:
+            for node in list(nodes[ukey]):
+                self._extend(tree, node, vkey, tau, results)
 
     # ------------------------------------------------------------------
     # Algorithm Extend
@@ -249,10 +251,11 @@ class RSPQEngine(DeltaEngine):
                 return  # cycle in the product graph along p
         if key in tree.marked:
             return
-        node = tree.add_child(parent, key, min(edge_ts, parent.ts))
+        p_ts = parent.ts
+        node = tree.add_child(parent, key, edge_ts if edge_ts < p_ts else p_ts)
         if len(tree.nodes[key]) == 1:  # first occurrence of (v,t) in T_x
             tree.marked.add(key)
-        self.vertex_trees.setdefault(v, set()).add(tree.root)
+        self._track(v, tree.root)
         # A revisit of the root vertex is never reported: the containment
         # shortcut that justifies traversing revisits (Theorem 4, "only if")
         # degenerates to the empty path when the revisited vertex is x

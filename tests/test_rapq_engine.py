@@ -139,6 +139,16 @@ class TestExpiry:
         e.process(Sgt(20, "p", "q", "a"))
         assert "x" not in e.trees
 
+    def test_bare_root_tree_not_kept(self):
+        """``a*`` on a self-loop: the only product edge leads back to the
+        root, so ``T_u`` gains nothing and is not kept past its tuple."""
+        e = engine_for("a*", window=5)
+        e.process(Sgt(1, "u", "u", "a"))
+        for ts in range(2, 20):
+            e.process(Sgt(ts, "p", "q", "b"))
+        assert e.trees == {}
+        assert e.vertex_trees == {}
+
     def test_lazy_expiry_with_slide(self):
         """With β=10, nodes expire only when τ crosses a slide boundary."""
         e = engine_for("a", window=5, slide=10)
@@ -158,6 +168,50 @@ class TestExpiry:
         e.process(Sgt(12, "q", "r", "a"))
         assert e.derivable_pairs() == rapq_pairs(e.graph.edge_set(), e.dfa)
         assert ("w", "z") in e.derivable_pairs()
+
+
+class TestPerTupleProductEdges:
+    def test_every_tree_gets_the_same_edge_list(self, monkeypatch):
+        e = engine_for("a*")
+        e.process(Sgt(1, "x", "u", "a"))
+        e.process(Sgt(2, "y", "u", "a"))
+        seen = []
+        step = e._process_edge
+
+        def spy(tree, edges, tau, results):
+            seen.append((tree.root, edges))
+            step(tree, edges, tau, results)
+
+        monkeypatch.setattr(e, "_process_edge", spy)
+        e.process(Sgt(3, "u", "v", "a"))
+        assert sorted(root for root, _ in seen) == ["u", "x", "y"]
+        assert all(edges is seen[0][1] for _, edges in seen)
+
+    def test_one_label_two_transitions_seed_one_insert(self, monkeypatch):
+        """In ``a* b*``, ``b`` drives s0→s1 and s1→s1. ``T_x`` holds ``u``
+        in both states at different ts: one Insert gets both seeds, and
+        ``(v, s1)`` takes the larger cap."""
+        e = engine_for("a* b*")
+        s0 = e.dfa.start
+        s1 = e.dfa.by_label["b"][s0]
+        assert e.dfa.by_label["b"] == {s0: s1, s1: s1}
+        e.process(Sgt(1, "x", "u", "a"))  # (u, s0) at ts 1
+        e.process(Sgt(2, "x", "u", "b"))  # (u, s1) at ts 2
+        calls = []
+        insert = e._insert
+
+        def spy(tree, seeds, results):
+            calls.append((tree.root, sorted(seeds)))
+            insert(tree, seeds, results)
+
+        monkeypatch.setattr(e, "_insert", spy)
+        e.process(Sgt(3, "u", "v", "b"))
+        assert [c for c in calls if c[0] == "x"] == [
+            ("x", [(1, ("u", s0), ("v", s1)), (2, ("u", s1), ("v", s1))])
+        ]
+        node = e.trees["x"].nodes[("v", s1)]
+        assert (node.ts, node.parent) == (2, ("u", s1))
+        assert e.derivable_pairs() == rapq_pairs(e.graph.edge_set(), e.dfa)
 
 
 class TestExplicitDeletions:

@@ -167,6 +167,58 @@ class TestExpiry:
         assert e.derivable_pairs() == rspq_pairs(edges, e.dfa)
 
 
+    def test_bare_root_tree_not_kept(self):
+        """``a*`` on a self-loop: the only product edge leads back to the
+        root, so ``T_u`` gains nothing and is not kept past its tuple."""
+        e = engine_for("a*", window=5)
+        e.process(Sgt(1, "u", "u", "a"))
+        for ts in range(2, 20):
+            e.process(Sgt(ts, "p", "q", "b"))
+        assert e.trees == {}
+        assert e.vertex_trees == {}
+
+
+class TestPerTupleProductEdges:
+    def test_every_tree_gets_the_same_edge_list(self, monkeypatch):
+        e = engine_for("a*")
+        e.process(Sgt(1, "x", "u", "a"))
+        e.process(Sgt(2, "y", "u", "a"))
+        seen = []
+        step = e._process_edge
+
+        def spy(tree, edges, tau, results):
+            seen.append((tree.root, edges))
+            step(tree, edges, tau, results)
+
+        monkeypatch.setattr(e, "_process_edge", spy)
+        e.process(Sgt(3, "u", "v", "a"))
+        assert sorted(root for root, _ in seen) == ["u", "x", "y"]
+        assert all(edges is seen[0][1] for _, edges in seen)
+
+    def test_one_label_two_transitions_extend_both_occurrences(self, monkeypatch):
+        """In ``a* b*``, ``b`` drives s0→s1 and s1→s1. ``T_x`` holds ``u``
+        in both states: the new edge ``u→v:b`` extends both occurrences."""
+        e = engine_for("a* b*")
+        s0 = e.dfa.start
+        s1 = e.dfa.by_label["b"][s0]
+        assert e.dfa.by_label["b"] == {s0: s1, s1: s1}
+        e.process(Sgt(1, "x", "u", "a"))  # (u, s0) at ts 1
+        e.process(Sgt(2, "x", "u", "b"))  # (u, s1) at ts 2
+        calls = []
+        extend = e._extend
+
+        def spy(tree, parent, key, edge_ts, results, ctx=None):
+            if ctx is None and tree.root == "x":  # a top-level Extend
+                calls.append((parent.key, key, edge_ts))
+            extend(tree, parent, key, edge_ts, results, ctx)
+
+        monkeypatch.setattr(e, "_extend", spy)
+        e.process(Sgt(3, "u", "v", "b"))
+        assert sorted(calls) == [(("u", s0), ("v", s1), 3), (("u", s1), ("v", s1), 3)]
+        assert ("v", s1) in e.trees["x"].nodes
+        assert e.derivable_pairs() == rspq_pairs(e.graph.edge_set(), e.dfa)
+
+
 class TestExplicitDeletions:
     def test_delete_invalidates(self):
         e = engine_for("a b", window=100)
