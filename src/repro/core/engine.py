@@ -30,9 +30,8 @@ import math
 from heapq import heappop, heappush
 from typing import Callable, Iterable
 
-from ..rpq_oracle import Sgt
 from .dfa import DFA
-from .windows import WindowGraph, check_tuple
+from .windows import Sgt, WindowGraph, check_tuple
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -198,7 +197,7 @@ class DeltaEngine:
     # expiry driver (ExpiryRAPQ / ExpiryRSPQ)
     # ------------------------------------------------------------------
 
-    def expire(self, tau: float, invalidate: bool = False) -> None:
+    def expire(self, tau: int, invalidate: bool = False) -> None:
         """Remove expired nodes, reconnecting subtrees through valid edges.
 
         Only the trees whose floor-heap entries are ``≤ τ − |W|`` are popped;
@@ -210,8 +209,7 @@ class DeltaEngine:
         their final-state members are reported as negative results when no
         longer derivable.
         """
-        now = int(tau) if tau != NEG_INF else 0
-        for u, v, label in self.graph.expire(now):
+        for u, v, label in self.graph.expire(tau):
             self._sync_product(u, v, label)
         lo = tau - self.window
         finals = self.dfa.finals
@@ -249,7 +247,7 @@ class DeltaEngine:
                     self._untrack(v, x)
             # Reconnection may discover pairs not previously reported.
             if reconnected:
-                self._report(reconnected, now)
+                self._report(reconnected, tau)
             # Garbage-collect trees reduced to a bare root.
             if tree.size == 1:
                 del self.trees[x]
@@ -260,7 +258,7 @@ class DeltaEngine:
             if (x, v) in self.results and not self._derivable(x, v):
                 del self.results[(x, v)]
                 if self.on_result is not None:
-                    self.on_result(now, x, v, "-")
+                    self.on_result(tau, x, v, "-")
 
     def _sync_product(self, u: str, v: str, label: str) -> list[tuple[Key, Key]]:
         """Bring ``succ`` and ``pred`` in line with the window after

@@ -92,9 +92,7 @@ LDBC_EXCLUDED = frozenset({"Q4", "Q9", "Q10"})
 
 def make_query(name: str, bindings: dict[str, str]) -> Query:
     """Instantiate template ``name`` with the given label bindings."""
-    text = TEMPLATES[name].format(**bindings)
-    regex = parse(text)
-    return Query(name=name, text=text, regex=regex, dfa=compile_regex(regex))
+    return query_from_text(TEMPLATES[name].format(**bindings), name)
 
 
 def workload(dataset: str) -> list[Query]:

@@ -1,4 +1,5 @@
-"""Sliding-window snapshot graph ``G_{W,τ}`` (Definitions 4-5).
+"""Streaming graph tuples (Definition 2) and the sliding-window snapshot
+graph ``G_{W,τ}`` (Definitions 4-5).
 
 Maintains the window edges as an arrival-ordered log; the Δ-index engines
 keep the only adjacency, that of the product graph (:mod:`repro.core.engine`).
@@ -16,6 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 Edge = tuple[str, str, str]  # (src, dst, label)
+
+
+@dataclass(frozen=True, order=True)
+class Sgt:
+    """A streaming graph tuple (Definition 2): ``(τ, (u, v), label, op)``."""
+
+    ts: int
+    src: str
+    dst: str
+    label: str
+    op: str = "+"  # "+" insert, "-" delete
 
 
 def check_tuple(sgt, last_ts: float) -> None:

@@ -20,8 +20,10 @@ from pyspark.sql import functions as F
 from ..core.dfa import DFA
 from .product_graph import product_edges
 
+MAX_ROUNDS = 200  # fixpoint rounds before batch_rapq gives up
 
-def batch_rapq(edges: DataFrame, dfa: DFA, max_iterations: int = 200) -> DataFrame:
+
+def batch_rapq(edges: DataFrame, dfa: DFA) -> DataFrame:
     """Arbitrary-path RPQ result pairs ``(x, y)`` on a static edge snapshot.
 
     ``edges`` needs columns ``src, dst, label``. Returns a DataFrame with
@@ -43,7 +45,7 @@ def batch_rapq(edges: DataFrame, dfa: DFA, max_iterations: int = 200) -> DataFra
         .localCheckpoint(eager=True)
     )
     frontier = reach
-    for _ in range(max_iterations):
+    for _ in range(MAX_ROUNDS):
         if frontier.isEmpty():
             break
         grown = (
@@ -63,7 +65,7 @@ def batch_rapq(edges: DataFrame, dfa: DFA, max_iterations: int = 200) -> DataFra
             break
         reach = reach.union(frontier).localCheckpoint(eager=True)
     else:
-        raise RuntimeError(f"fixpoint did not converge in {max_iterations} rounds")
+        raise RuntimeError(f"fixpoint did not converge in {MAX_ROUNDS} rounds")
     finals = [int(f) for f in dfa.finals]
     return (
         reach.filter(F.col("s").isin(finals))

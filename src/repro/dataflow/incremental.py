@@ -47,8 +47,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..core.dfa import DFA
 from ..core.rapq import RAPQEngine
-from ..core.windows import check_tuple
-from ..rpq_oracle import Sgt
+from ..core.windows import Sgt, check_tuple
 
 ResultRow = tuple[str, str, int]  # (x, y, ts)
 

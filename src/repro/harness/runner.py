@@ -14,7 +14,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..rpq_oracle import Sgt
+from ..core.windows import Sgt
+
+SIZE_PROBE_EVERY = 200  # tuples between two reads of the index size
 
 
 @dataclass
@@ -63,7 +65,7 @@ class RunMetrics:
         return sum(self.latencies_us) / len(self.latencies_us)
 
 
-def run_engine(engine, stream: Sequence[Sgt], size_probe_every: int = 200) -> RunMetrics:
+def run_engine(engine, stream: Sequence[Sgt]) -> RunMetrics:
     """Feed ``stream`` to ``engine`` (RAPQEngine/RSPQEngine API), measuring.
 
     A tuple whose timestamp crosses a multiple of ``engine.slide`` (the
@@ -95,7 +97,7 @@ def run_engine(engine, stream: Sequence[Sgt], size_probe_every: int = 200) -> Ru
             if expires:
                 m.n_expiries += 1
                 m.expiry_s += t1 - t0
-            if i % size_probe_every == 0:
+            if i % SIZE_PROBE_EVERY == 0:
                 m.max_nodes = max(m.max_nodes, engine.n_nodes)
                 m.max_trees = max(m.max_trees, engine.n_trees)
     except BudgetExceeded:

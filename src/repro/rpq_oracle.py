@@ -19,24 +19,10 @@ All semantics use paths of length ≥ 1 (see DESIGN.md).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core.dfa import DFA
-
-
-@dataclass(frozen=True, order=True)
-class Sgt:
-    """A streaming graph tuple (Definition 2): ``(τ, (u, v), label, op)``."""
-
-    ts: int
-    src: str
-    dst: str
-    label: str
-    op: str = "+"  # "+" insert, "-" delete
-
-
-Edge = tuple[str, str, str]  # (src, dst, label)
+from .core.windows import Edge, Sgt
 
 
 def rapq_pairs(edges: Iterable[Edge], dfa: DFA) -> set[tuple[str, str]]:

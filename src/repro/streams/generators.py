@@ -1,6 +1,6 @@
 """Synthetic streaming graphs mirroring the paper's datasets (§5.1.2).
 
-Each generator returns a list of :class:`repro.rpq_oracle.Sgt` with
+Each generator returns a list of :class:`repro.core.windows.Sgt` with
 non-decreasing integer timestamps at a fixed arrival rate (``rate`` edges per
 time unit — the paper's fixed-rate timestamp assignment for Yago2s/gMark).
 All generators are deterministic in ``seed``.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rpq_oracle import Sgt
+from ..core.windows import Sgt
 
 SO_LABELS = ("a2q", "c2a", "c2q")
 LDBC_LABELS = ("knows", "replyOf", "hasCreator", "likes")

@@ -15,7 +15,7 @@ import random
 import numpy as np
 
 from ..core.queries import Query, query_from_text
-from ..rpq_oracle import Sgt
+from ..core.windows import Sgt
 
 GMARK_LABELS = tuple(f"g{i}" for i in range(8))
 
