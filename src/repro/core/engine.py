@@ -12,9 +12,10 @@ driver and the Delete driver.
 A subclass sets ``tree_type``: a tree with ``root``, ``nodes`` (its nodes,
 keyed by product pair ``(v, s)``: §5.1.1's node-lookup index, probed per
 state through the DFA's ``by_label``), ``floor`` (a lower bound on its
-nodes' ts), ``size`` and ``tighten_floor()``. It provides the per-tree step
+nodes' ts) and ``size``. It provides the per-tree step
 of a new edge, ``_process_edge(tree, edges, tau, results)`` (Insert, or
 Extend/Unmark), the per-tree "prune and reconnect" step ``_expire_tree``,
+which also sets the tree's ``floor`` to the exact least ts it leaves,
 Delete's tree-edge marking ``_mark_deleted`` and the result predicate
 ``_derivable``.
 
@@ -203,11 +204,12 @@ class DeltaEngine:
         Only the trees whose floor-heap entries are ``≤ τ − |W|`` are popped;
         a tree whose ``floor`` lies above that bound has no node to expire
         and is not visited. Each due tree goes through the subclass's
-        ``_expire_tree``, which prunes the nodes with ``ts ≤ τ − |W|`` and
-        reconnects what it can. Keys that lost every node are gone for good;
-        with ``invalidate=True`` (the explicit-deletion path) the pairs of
-        their final-state members are reported as negative results when no
-        longer derivable.
+        ``_expire_tree``, which prunes the nodes with ``ts ≤ τ − |W|``,
+        reconnects what it can and re-arms the tree at its exact floor; a
+        tree left with only its root is dropped. Keys that lost every node
+        are gone for good; with ``invalidate=True`` (the explicit-deletion
+        path) the pairs of their final-state members are reported as
+        negative results when no longer derivable.
         """
         for u, v, label in self.graph.expire(tau):
             self._sync_product(u, v, label)
@@ -227,33 +229,31 @@ class DeltaEngine:
                 continue  # stale entry
             reconnected: set[tuple[str, str]] = set()
             pruned = self._expire_tree(tree, lo, invalidate, reconnected)
-            if not pruned:
-                # Tighten the bound only after an empty scan: after one that
-                # expired nodes, the old floor is still ≤ lo and still valid.
-                tree.tighten_floor()
-                heappush(floors, (tree.floor, x))
-                continue
-            # Maintain the reverse index and collect invalidations.
-            nodes = tree.nodes
-            for v, t in pruned:
-                if (v, t) in nodes:
-                    continue  # reconnected
-                if invalidate and t in finals:
-                    invalidated.add((x, v))
-                for s in states:
-                    if (v, s) in nodes:
-                        break
-                else:
-                    self._untrack(v, x)
-            # Reconnection may discover pairs not previously reported.
-            if reconnected:
-                self._report(reconnected, tau)
-            # Garbage-collect trees reduced to a bare root.
-            if tree.size == 1:
-                del self.trees[x]
-                self._untrack(x, x)
-            else:  # floor unchanged and ≤ lo: due again at the next boundary
-                heappush(floors, (tree.floor, x))
+            if pruned:
+                # Maintain the reverse index and collect invalidations.
+                nodes = tree.nodes
+                for v, t in pruned:
+                    if (v, t) in nodes:
+                        continue  # reconnected
+                    if invalidate and t in finals:
+                        invalidated.add((x, v))
+                    for s in states:
+                        if (v, s) in nodes:
+                            break
+                    else:
+                        self._untrack(v, x)
+                # Reconnection may discover pairs not previously reported.
+                if reconnected:
+                    self._report(reconnected, tau)
+                # Garbage-collect trees reduced to a bare root.
+                if tree.size == 1:
+                    del self.trees[x]
+                    self._untrack(x, x)
+                    continue
+            # _expire_tree re-armed the tree at its exact floor, above lo:
+            # it is next due when the window reaches its oldest node, not at
+            # the next boundary.
+            heappush(floors, (tree.floor, x))
         for x, v in invalidated:
             if (x, v) in self.results and not self._derivable(x, v):
                 del self.results[(x, v)]

@@ -13,10 +13,13 @@ on the engine skeleton of :mod:`repro.core.engine`:
   settled at most once per tuple and tree, over the product-graph
   out-edges the engine keeps (``DeltaEngine.succ``);
 * **ExpiryRAPQ** (:meth:`RAPQEngine._expire_tree`) — prune one tree's expired
-  nodes and reconnect them through every surviving product-graph in-edge
-  (``DeltaEngine.pred``); the shared
+  nodes and reconnect those that Delete marked −∞ through every surviving
+  product-graph in-edge (``DeltaEngine.pred``). Under eager Insert a node
+  that expires at a slide boundary has no surviving parent over a valid
+  edge, so it is dropped without a probe. The shared
   driver :meth:`~repro.core.engine.DeltaEngine.expire` visits only the trees
-  whose timestamp floor (``SpanningTree.floor``) is due;
+  whose timestamp floor (``SpanningTree.floor``) is due, and re-arms each
+  scanned tree at its exact floor;
 * **Delete** (:meth:`RAPQEngine._mark_deleted`) — explicit deletions via
   negative tuples: mark the subtree under a deleted tree edge, found by
   walking parent pointers (:func:`~repro.core.engine.below_tops`), and let
@@ -29,8 +32,8 @@ record of its tree edge (Definition 12), and the timestamp of its best
 witnessing path from the root ``(x, s0)``: the maximum, over the paths in
 the window, of the minimum edge timestamp along the path (Definition 9,
 §3.1). Insert pops its worklist maximum-timestamp-first, so a node's first
-improvement in a tuple is already its best one; reconnection after expiry
-runs the same routine from every surviving in-edge at once. The
+improvement in a tuple is already its best one; reconnection after a
+deletion runs the same routine from every surviving in-edge at once. The
 differential tests verify the resulting invariant after every tuple: after
 expiry at time τ the index derives exactly the batch result on the snapshot
 ``G_{W,τ}``.
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
 from typing import Callable
 
 from .dfa import DFA
@@ -72,8 +74,9 @@ class SpanningTree:
             self.root_key: _Node(self.root_key, INF, None)
         }
         # Lower bound on every node's ts: expiry skips the tree while it is
-        # above the window's lower edge. Relinks only raise ts, so only
-        # ``add`` and Delete's −∞ marking have to lower it.
+        # above the window's lower edge, and each scan sets it exactly.
+        # Relinks only raise ts, so only ``add`` and Delete's −∞ marking
+        # have to lower it.
         self.floor: float = INF
 
     def add(self, key: Key, ts: float, parent: Key) -> _Node:
@@ -86,9 +89,6 @@ class SpanningTree:
     def relink(self, node: _Node, new_parent: Key, ts: float) -> None:
         node.parent = new_parent
         node.ts = ts
-
-    def tighten_floor(self) -> None:
-        self.floor = min(map(attrgetter("ts"), self.nodes.values()))
 
     @property
     def size(self) -> int:
@@ -215,16 +215,36 @@ class RAPQEngine(DeltaEngine):
         """The paper's **ExpiryRAPQ** on one tree; returns the pruned keys.
 
         Collect the potentially expired set P (nodes with ``ts ≤ lo``),
-        prune it, then re-``Insert`` the pruned nodes from every still-valid
-        parent over a product-graph in-edge (``pred``), all in one best-first
-        :meth:`_insert` call, so reconnected nodes get their best timestamps.
-        Every pruned key is a candidate on both the boundary and the
-        deletion path (``invalidate`` is not needed).
+        prune it, then re-``Insert`` the pruned nodes that Delete marked
+        with ``ts = −∞`` from every still-valid parent over a product-graph
+        in-edge (``pred``), all in one best-first :meth:`_insert` call, so
+        reconnected nodes get their best timestamps.
+
+        The other pruned nodes are dropped without a probe. Insert is eager,
+        so each node holds its best max-min timestamp over the window graph
+        (DESIGN.md, "Boundary expiry"). A valid edge from a surviving parent
+        would give it a timestamp above ``lo``, so a node with a finite
+        ``ts ≤ lo`` has no such parent. Only a −∞ mark hides a node's best
+        timestamp. The marks exist only while Delete has set the tree's
+        floor to −∞, so a boundary scan looks for none.
+
+        The same pass re-arms the tree at its exact floor, the least ts
+        above ``lo``; reconnected nodes lower it through ``add``.
         """
         nodes = tree.nodes
-        candidates = [key for key, node in nodes.items() if node.ts <= lo]
+        deleted = tree.floor == NEG_INF
+        candidates = []
+        floor = INF
+        for key, node in nodes.items():
+            ts = node.ts
+            if ts <= lo:
+                candidates.append(key)
+            elif ts < floor:
+                floor = ts
+        tree.floor = floor
         if not candidates:
             return candidates
+        marked = [key for key in candidates if nodes[key].ts == NEG_INF] if deleted else ()
         # Descendants of an expired node are expired too (child ts ≤
         # parent ts), so every surviving node is a valid parent.
         for key in candidates:
@@ -232,7 +252,7 @@ class RAPQEngine(DeltaEngine):
         self.expiry_scans += len(candidates)
         pred = self.pred
         seeds = []
-        for ckey in candidates:
+        for ckey in marked:
             for pkey, e_ts in pred.get(ckey, {}).items():
                 parent = nodes.get(pkey)
                 if parent is not None:

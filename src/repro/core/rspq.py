@@ -117,9 +117,6 @@ class RSPQTree:
         if not occs:
             del self.nodes[node.key]
 
-    def tighten_floor(self) -> None:
-        self.floor = min(n.ts for occs in self.nodes.values() for n in occs)
-
     @property
     def size(self) -> int:
         return sum(len(v) for v in self.nodes.values())
@@ -312,9 +309,19 @@ class RSPQEngine(DeltaEngine):
         occurrences. On the deletion path (``invalidate``) it first
         re-extends each surviving parent of a pruned occurrence over the
         product edge that still leads there (see the module docstring).
+        The scan also re-arms the tree at its exact floor; occurrences that
+        reconnection adds lower it through ``add_child``.
         """
-        expired = [n for occs in tree.nodes.values() for n in occs
-                   if n.ts <= lo and n.parent is not None]
+        expired = []
+        floor = INF
+        for occs in tree.nodes.values():
+            for n in occs:
+                ts = n.ts
+                if ts <= lo:
+                    expired.append(n)
+                elif ts < floor:
+                    floor = ts
+        tree.floor = floor
         if not expired:
             return set()
         pruned = {n.key for n in expired}

@@ -11,6 +11,7 @@ the default test-sized ones.
 from __future__ import annotations
 
 import time
+from statistics import median
 
 from ..core.queries import Query, make_query, workload
 from ..core.rapq import RAPQEngine
@@ -28,6 +29,7 @@ DATASET_WINDOWS = {"so": (60, 6), "ldbc": (100, 10), "yago": (100, 10)}
 DEFAULT_EDGES = {"so": 3000, "ldbc": 4000, "yago": 4000}
 
 RSPQ_BUDGET = 200_000
+FIG10_RUNS = 5  # runs per Figure 10 stream; each row reports medians
 
 
 def _rapq_run(q: Query, stream, window, slide) -> RunMetrics:
@@ -299,24 +301,35 @@ def table4_simple_path(datasets=("so", "ldbc", "yago"), scale: float = 1.0) -> l
 # ----------------------------------------------------------------------
 
 def fig10_deletions(scale: float = 1.0, queries=("Q1", "Q2", "Q7", "Q11")) -> list[dict]:
+    """Per query and deletion ratio, the median p99 and wall time of
+    ``FIG10_RUNS`` runs, against the median of as many no-deletion runs.
+
+    A pass takes ~10 ms at the default scale, so a single run's p99 is
+    mostly host noise. The runs go round-robin over the streams, so a slow
+    host phase hits the baseline and the deletion runs alike.
+    """
     window, slide = DATASET_WINDOWS["yago"]
     base_stream = dataset_stream("yago", int(DEFAULT_EDGES["yago"] * scale))
+    streams = {0.0: base_stream}
+    for ratio in (0.02, 0.05, 0.10):
+        streams[ratio] = with_deletions(base_stream, ratio)
     rows = []
     for name in queries:
         q = [x for x in workload("yago") if x.name == name][0]
-        base = _rapq_run(q, base_stream, window, slide)
-        for ratio in (0.02, 0.05, 0.10):
-            stream = with_deletions(base_stream, ratio)
-            m = _rapq_run(q, stream, window, slide)
+        runs: dict[float, list[RunMetrics]] = {ratio: [] for ratio in streams}
+        for _ in range(FIG10_RUNS):
+            for ratio, stream in streams.items():
+                runs[ratio].append(_rapq_run(q, stream, window, slide))
+        p99 = {ratio: median(m.p99_us for m in ms) for ratio, ms in runs.items()}
+        wall = {ratio: median(m.elapsed_s for m in ms) for ratio, ms in runs.items()}
+        for ratio in list(streams)[1:]:
             rows.append(
                 {
                     "query": name,
                     "del_ratio_pct": int(ratio * 100),
-                    "p99_us": m.p99_us,
-                    "p99_vs_no_del": round(m.p99_us / base.p99_us, 2)
-                    if base.p99_us
-                    else "-",
-                    "wall_vs_no_del": round(m.elapsed_s / base.elapsed_s, 2),
+                    "p99_us": p99[ratio],
+                    "p99_vs_no_del": round(p99[ratio] / p99[0.0], 2) if p99[0.0] else "-",
+                    "wall_vs_no_del": round(wall[ratio] / wall[0.0], 2),
                 }
             )
     return rows
@@ -335,7 +348,8 @@ def fig11_speedup(spark, queries=("Q1", "Q2", "Q11"), scale: float = 1.0) -> lis
     RAPQ engine and the baseline re-runs the Spark DataFrame batch fixpoint
     on the window snapshot once per slide — already more generous than the
     paper's per-*tuple* re-evaluation. Result sets are asserted equal before
-    any timing is reported.
+    any timing is reported. One untimed pass of the baseline runs before the
+    timed ones, so no query's row carries the session's warm-up.
 
     The dataflow variant (``IncrementalRPQ``, the same Δ-tree engine sharded
     by root across Spark partitions) consumes one micro-batch per slide and
@@ -345,8 +359,6 @@ def fig11_speedup(spark, queries=("Q1", "Q2", "Q11"), scale: float = 1.0) -> lis
     Spark's fixed per-job cost, not the algorithm's work, which hides the gap
     the paper measures (see EXPERIMENTS.md commentary).
     """
-    from statistics import median
-
     from ..dataflow.batch_eval import batch_rapq
     from ..dataflow.incremental import IncrementalRPQ
     from ..dataflow.product_graph import SGT_SCHEMA, edges_df
@@ -356,9 +368,26 @@ def fig11_speedup(spark, queries=("Q1", "Q2", "Q11"), scale: float = 1.0) -> lis
     chunks: dict[int, list[Sgt]] = {}
     for t in stream:
         chunks.setdefault(t.ts // slide, []).append(t)
+
+    def reevaluate(q: Query) -> tuple[set, set]:
+        """Re-evaluate the window snapshot of every slide with Spark; returns
+        the union of the per-slide results and the last slide's."""
+        prefix: list[Sgt] = []
+        results: set[tuple[str, str]] = set()
+        snapshot: set[tuple[str, str]] = set()
+        for b in sorted(chunks):
+            prefix += chunks[b]
+            snap = snapshot_edges(prefix, prefix[-1].ts, window)
+            snapshot = {(r["x"], r["y"]) for r in batch_rapq(edges_df(spark, snap), q.dfa).collect()}
+            results |= snapshot
+        return results, snapshot
+
+    qs = [[x for x in workload("yago") if x.name == name][0] for name in queries]
+    # One untimed pass: the session's first batch jobs pay Spark's warm-up,
+    # which would otherwise land on the first query's row.
+    reevaluate(qs[0])
     rows = []
-    for name in queries:
-        q = [x for x in workload("yago") if x.name == name][0]
+    for name, q in zip(queries, qs):
         # Incremental: Δ-tree engine, per-tuple.
         engine = RAPQEngine(q.dfa, window=window, slide=slide)
         t0 = time.perf_counter()
@@ -368,19 +397,8 @@ def fig11_speedup(spark, queries=("Q1", "Q2", "Q11"), scale: float = 1.0) -> lis
         incr_s = time.perf_counter() - t0
         inc_snapshot = engine.derivable_pairs()
         inc_results = set(engine.results)
-        # Baseline: re-evaluate the window snapshot per slide with Spark.
         t0 = time.perf_counter()
-        prefix: list[Sgt] = []
-        base_results: set[tuple[str, str]] = set()
-        base_snapshot: set[tuple[str, str]] = set()
-        for b in sorted(chunks):
-            prefix += chunks[b]
-            snap = snapshot_edges(prefix, prefix[-1].ts, window)
-            base_snapshot = {
-                (r["x"], r["y"])
-                for r in batch_rapq(edges_df(spark, snap), q.dfa).collect()
-            }
-            base_results |= base_snapshot
+        base_results, base_snapshot = reevaluate(q)
         batch_s = time.perf_counter() - t0
         # The per-slide baseline evaluates a subset of the eager engine's
         # snapshots, so its results must be contained in the incremental

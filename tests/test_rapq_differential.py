@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro.core.dfa import compile_regex
+from repro.core.engine import NEG_INF
 from repro.core.rapq import RAPQEngine, SpanningTree
 from repro.core.regex import parse
 from repro.rpq_oracle import (
@@ -324,7 +325,7 @@ def test_deletion_rescans_tree_above_the_floor():
     check_index(engine)
     assert tree.nodes[("y", s)].parent == ("u", s)
     assert tree.nodes[("z", s)].ts == 1
-    engine.process(Sgt(5, "x", "v", "b"))  # boundary: an empty scan tightens the floor
+    engine.process(Sgt(5, "x", "v", "b"))  # boundary: the deletion's scan re-armed T_x at 1
     assert tree.floor == 1 > 5 - engine.window
     engine.process(Sgt(6, "u", "y", "a", "-"))  # now y and z are unreachable
     check_index(engine)
@@ -393,7 +394,8 @@ class _ScanLog(dict):
 
 def replay_checking_scans(monkeypatch, query, window, slide, stream):
     """Replay ``stream``; every ``expire`` call must scan each tree whose
-    floor is ≤ τ − |W| exactly once, and no other tree."""
+    floor is ≤ τ − |W| exactly once, and no other tree, and leave each tree
+    it scanned and kept at its exact floor."""
     scans: list = []
     original_init = SpanningTree.__init__
 
@@ -412,6 +414,10 @@ def replay_checking_scans(monkeypatch, query, window, slide, stream):
         scans.clear()
         original_expire(tau, invalidate)
         assert sorted(scans) == due, f"expire({tau}) scanned {sorted(scans)}, due {due}"
+        for x in scans:
+            if x in engine.trees:
+                tree = engine.trees[x]
+                assert tree.floor == min(n.ts for n in tree.nodes.values()), f"T_{x} not re-armed"
         calls.append((tau, due))
 
     engine.expire = expire
@@ -429,30 +435,31 @@ def test_stale_entry_of_gc_tree_recreated_under_same_root(monkeypatch):
         Sgt(3, "x", "y", "a"),
         Sgt(4, "x", "y", "a", "-"),  # T_x pruned to a bare root and GC'd
         Sgt(5, "x", "w", "a"),  # T_x again: w at 5, v at min(2, 5)
-        Sgt(12, "t", "t", "b"),  # lo = 2: v expires from T_w and T_x
-        Sgt(13, "t", "t", "b"),  # lo = 3: (2, x) and stale (3, x) pop together
+        Sgt(12, "t", "t", "b"),  # lo = 2: v expires from T_w and T_x; T_x re-armed at 5
+        Sgt(13, "t", "t", "b"),  # lo = 3: stale (3, x) pops; T_x's floor is 5, no scan
         Sgt(14, "t", "t", "b"),  # lo = 4: nothing due
         Sgt(15, "t", "t", "b"),  # lo = 5: w expires, T_x GC'd again
     ])
-    assert [due for tau, due in calls if tau >= 12] == [["w", "x"], ["x"], [], ["x"]]
+    assert [due for tau, due in calls if tau >= 12] == [["w", "x"], [], [], ["x"]]
     assert engine.trees == {}
 
 
 def test_stale_entry_after_tightening_then_lowering(monkeypatch):
     """T_x's floor is tightened by an empty scan, then lowered by a new node
-    with an old timestamp; the higher entry left behind is stale."""
+    with an old timestamp; the higher entry left behind pops together with
+    the one the next scan re-arms T_x at, and T_x is scanned once."""
     engine, calls = replay_checking_scans(monkeypatch, "a+", 10, 1, [
         Sgt(1, "x", "u", "a"),
         Sgt(3, "p", "q", "a"),
         Sgt(4, "x", "u", "a"),  # u relinked at 4; floor stays 1
         Sgt(11, "t", "t", "b"),  # lo = 1: empty scan tightens the floor to 4
         Sgt(11, "x", "p", "a"),  # p at 11, q at min(3, 11): floor back to 3
-        Sgt(13, "t", "t", "b"),  # lo = 3: q expires from T_x and T_p
-        Sgt(14, "t", "t", "b"),  # lo = 4: u expires; the (4, x) entry is due
-        Sgt(15, "t", "t", "b"),  # lo = 5: T_x's floor is still 3, so due
-        Sgt(16, "t", "t", "b"),  # lo = 6: floor now 11, not due
+        Sgt(13, "t", "t", "b"),  # lo = 3: q expires from T_x and T_p; T_x re-armed at 4
+        Sgt(14, "t", "t", "b"),  # lo = 4: both (4, x) entries pop; u expires, T_x re-armed at 11
+        Sgt(15, "t", "t", "b"),  # lo = 5: floor 11, not due
+        Sgt(16, "t", "t", "b"),  # lo = 6: not due
     ])
-    assert [due for tau, due in calls if tau >= 11] == [["x"], ["p", "x"], ["x"], ["x"], []]
+    assert [due for tau, due in calls if tau >= 11] == [["x"], ["p", "x"], ["x"], [], []]
     dfa = engine.dfa
     assert set(engine.trees["x"].nodes) == {("x", dfa.start), ("p", dfa.delta(dfa.start, "a"))}
 
@@ -462,3 +469,63 @@ def test_stale_entry_after_tightening_then_lowering(monkeypatch):
 def test_expiry_scans_exactly_the_due_trees(monkeypatch, slide, seed):
     replay_checking_scans(monkeypatch, "(a|b|c)+", 12, slide,
                           random_stream(seed, n=80, n_vertices=6, delete_prob=0.15))
+
+
+def check_no_boundary_reconnection(engine, lo):
+    """Brute force: no node with a finite ``ts ≤ lo`` has a surviving parent,
+    a node with ``ts > lo`` over a window edge with ``ts > lo`` that drives
+    the DFA transition into it. Eager Insert guarantees this, so expiry
+    reconnects only Delete's −∞ marks."""
+    dfa = engine.dfa
+    for x, tree in engine.trees.items():
+        nodes = tree.nodes
+        for (v, t), node in nodes.items():
+            if not NEG_INF < node.ts <= lo:
+                continue
+            for (u, w, lbl), e_ts in engine.graph.edges.items():
+                if w != v or e_ts <= lo:
+                    continue
+                for s in range(dfa.n_states):
+                    parent = nodes.get((u, s))
+                    assert not (dfa.delta(s, lbl) == t and parent is not None and parent.ts > lo), (
+                        f"T_{x}: {(v, t)} at ts {node.ts} ≤ {lo} has a surviving parent {(u, s)}"
+                    )
+
+
+@pytest.mark.parametrize("query", ["(a|b|c)+", "a b* c"])
+@pytest.mark.parametrize("slide", [1, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_expiry_reconnects_only_deletion_marks(query, slide, seed):
+    """Before every ``expire``, an expired node with a finite ts has no
+    surviving parent over a window edge, and ``_expire_tree`` seeds Insert
+    only from keys that Delete marked −∞."""
+    engine = RAPQEngine(compile_regex(parse(query)), window=12, slide=slide)
+    original_expire, original_expire_tree, original_insert = (
+        engine.expire, engine._expire_tree, engine._insert
+    )
+    marked: set = set()
+    reconnecting = []
+
+    def expire(tau, invalidate=False):
+        check_no_boundary_reconnection(engine, tau - engine.window)
+        original_expire(tau, invalidate)
+
+    def expire_tree(tree, lo, invalidate, results):
+        marked.clear()
+        marked.update(k for k, n in tree.nodes.items() if n.ts == NEG_INF)
+        reconnecting.append(True)
+        try:
+            return original_expire_tree(tree, lo, invalidate, results)
+        finally:
+            reconnecting.pop()
+
+    def insert(tree, seeds, results):
+        if reconnecting:
+            assert {ckey for _, _, ckey in seeds} <= marked, "reconnected an unmarked node"
+        original_insert(tree, seeds, results)
+
+    engine.expire, engine._expire_tree, engine._insert = expire, expire_tree, insert
+    stream = random_stream(seed, n=80, n_vertices=6, delete_prob=0.2)
+    for t in stream:
+        engine.process(t)
+    assert any(t.op == "-" for t in stream)
