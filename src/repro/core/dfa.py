@@ -1,9 +1,15 @@
-"""DFA construction, Hopcroft minimization, and suffix-language containment.
+"""DFA construction, minimization, and suffix-language containment.
 
 Pipeline (paper §2): regex → Thompson ε-NFA → DFA (subset construction) →
-minimal DFA (Hopcroft's algorithm [41]). The DFA is *partial*: missing
+minimal DFA. The paper minimizes with Hopcroft's algorithm [41]; here one
+subset-construction loop does all the determinizing, and the minimal DFA
+comes from Brzozowski's double reversal: determinizing the reversal of the
+reversal's determinization yields the unique minimal DFA (J. A. Brzozowski,
+1962). The DFA is *partial*: the empty subset is dropped, so missing
 transitions mean the word is rejected, which matches the streaming engines
-that simply do not extend a traversal on an unmatched label.
+that simply do not extend a traversal on an unmatched label. Subsets are
+numbered in BFS order over the sorted labels, so equal languages get
+identical encodings.
 
 For the simple-path algorithm (§4) we additionally compute, at query
 registration time:
@@ -13,12 +19,14 @@ registration time:
   product-automaton search for a distinguishing word;
 * whether the automaton has the **suffix-language containment property**
   (Definition 15), which implies conflict-freedom on *any* graph and hence a
-  tractable RSPQ (the paper's "restricted" class covering Q1, Q4, Q9, Q11).
+  tractable RSPQ (the paper's "restricted" class; of the Table 2 queries,
+  Q1, Q4, Q6 and Q8 have it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .nfa import NFA, thompson
 from .regex import Regex
@@ -56,14 +64,6 @@ class DFA:
             if s is None:
                 return False
         return s in self.finals
-
-    @cached_property
-    def out_transitions(self) -> dict[int, list[tuple[str, int]]]:
-        """state → [(label, successor)] adjacency view of ``trans``."""
-        out: dict[int, list[tuple[str, int]]] = {s: [] for s in range(self.n_states)}
-        for (s, label), t in self.trans.items():
-            out[s].append((label, t))
-        return out
 
     @cached_property
     def by_label(self) -> dict[str, dict[int, int]]:
@@ -128,158 +128,81 @@ class DFA:
         return (s, t) in self.containment
 
     @cached_property
-    def useful_states(self) -> frozenset[int]:
-        """States on some path from the start to a final state."""
-        fwd = {self.start}
-        stack = [self.start]
-        while stack:
-            s = stack.pop()
-            for _, t in self.out_transitions[s]:
-                if t not in fwd:
-                    fwd.add(t)
-                    stack.append(t)
-        rev: dict[int, set[int]] = {s: set() for s in range(self.n_states)}
-        for (s, _), t in self.trans.items():
-            rev[t].add(s)
-        bwd = set(self.finals)
-        stack = list(self.finals)
-        while stack:
-            s = stack.pop()
-            for p in rev[s]:
-                if p not in bwd:
-                    bwd.add(p)
-                    stack.append(p)
-        return frozenset(fwd & bwd)
-
-    @cached_property
     def has_containment_property(self) -> bool:
-        """Definition 15: every useful transition ``s → t`` has ``[s] ⊇ [t]``.
+        """Definition 15: every transition ``s → t`` has ``[s] ⊇ [t]``.
 
-        Containment composes along transitions, so checking immediate
-        successors is sufficient. Automata with this property are
-        conflict-free on every graph (paper §4/§5.5, "restricted" queries).
+        A compiled DFA is trim (every state lies on a path from the start to
+        a final state), so every transition is checked. Containment composes
+        along transitions, so checking immediate successors is sufficient.
+        Automata with this property are conflict-free on every graph (paper
+        §4/§5.5, "restricted" queries).
         """
-        useful = self.useful_states
-        return all(
-            self.contains(s, t)
-            for (s, _), t in self.trans.items()
-            if s in useful and t in useful
-        )
+        return all(self.contains(s, t) for (s, _), t in self.trans.items())
 
 
-def nfa_to_dfa(nfa: NFA) -> DFA:
-    """Subset construction; the result is trimmed to reachable subsets."""
-    labels = sorted(
-        {label for outs in nfa.transitions.values() for label, _ in outs if label is not None}
-    )
-    start_set = nfa.eps_closure(frozenset({nfa.start}))
-    ids: dict[frozenset[int], int] = {start_set: 0}
-    order = [start_set]
+def _determinize(
+    start: frozenset[int],
+    step: Callable[[frozenset[int], str], frozenset[int]],
+    labels: list[str],
+    is_final: Callable[[frozenset[int]], bool],
+) -> DFA:
+    """Subset construction from the subset ``start``.
+
+    ``step(subset, label)`` is the successor subset. Subsets are numbered in
+    BFS order over the sorted ``labels`` and only non-empty ones are kept,
+    so the result is partial, reachable and canonically numbered.
+    """
+    ids = {start: 0}
+    order = [start]
     trans: dict[tuple[int, str], int] = {}
-    i = 0
-    while i < len(order):
-        cur = order[i]
+    for i, cur in enumerate(order):  # order grows as subsets are discovered
         for label in labels:
-            nxt = nfa.step(cur, label)
+            nxt = step(cur, label)
             if not nxt:
                 continue
             if nxt not in ids:
                 ids[nxt] = len(order)
                 order.append(nxt)
-            trans[(ids[cur], label)] = ids[nxt]
-        i += 1
-    finals = frozenset(ids[s] for s in order if nfa.accept in s)
+            trans[(i, label)] = ids[nxt]
     return DFA(
         n_states=len(order),
         start=0,
-        finals=finals,
+        finals=frozenset(i for i, subset in enumerate(order) if is_final(subset)),
         trans=trans,
-        accepts_empty=nfa.accept in start_set,
+        accepts_empty=is_final(start),
     )
+
+
+def nfa_to_dfa(nfa: NFA) -> DFA:
+    """Subset construction over the Thompson NFA."""
+    labels = sorted(
+        {label for outs in nfa.transitions.values() for label, _ in outs if label is not None}
+    )
+    start = nfa.eps_closure(frozenset({nfa.start}))
+    return _determinize(start, nfa.step, labels, lambda subset: nfa.accept in subset)
+
+
+def _reverse(dfa: DFA) -> DFA:
+    """A DFA for the reversed language: subset construction run backward
+    from ``dfa.finals`` over predecessors, accepting where it holds the start."""
+    preds: dict[tuple[int, str], set[int]] = {}
+    for (s, label), t in dfa.trans.items():
+        preds.setdefault((t, label), set()).add(s)
+
+    def step(subset: frozenset[int], label: str) -> frozenset[int]:
+        return frozenset(p for t in subset for p in preds.get((t, label), ()))
+
+    return _determinize(dfa.finals, step, sorted(dfa.alphabet), lambda subset: dfa.start in subset)
 
 
 def minimize(dfa: DFA) -> DFA:
-    """Partition refinement to the coarsest stable partition (minimal DFA).
+    """The minimal partial DFA for ``L(dfa)``, by double reversal.
 
-    The paper uses Hopcroft's algorithm [41]; for the query-sized automata
-    here (k ≤ ~25 states) we run the equivalent Moore-style refinement to a
-    fixpoint, which yields the same minimal automaton with simpler
-    bookkeeping. A virtual dead state absorbs missing transitions during
-    refinement and is dropped (with its class) from the result, keeping the
-    output partial. States unreachable from the start were already trimmed by
-    subset construction.
+    Determinizing the reversal of a reachable DFA gives the minimal
+    DFA of the reversed language (Brzozowski); doing it twice gives the
+    minimal DFA of ``L(dfa)``, trim and numbered in BFS order.
     """
-    labels = sorted(dfa.alphabet)
-    dead = dfa.n_states  # virtual sink
-    n = dfa.n_states + 1
-
-    def step(s: int, label: str) -> int:
-        if s == dead:
-            return dead
-        return dfa.trans.get((s, label), dead)
-
-    # block_of[s] is s's equivalence-class id; refine until stable.
-    block_of = [1 if s in dfa.finals else 0 for s in range(n)]
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_block_of = [0] * n
-        for s in range(n):
-            sig = (block_of[s],) + tuple(block_of[step(s, label)] for label in labels)
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block_of[s] = signatures[sig]
-        if new_block_of == block_of:
-            break
-        block_of = new_block_of
-
-    n_blocks = max(block_of) + 1
-    partition: list[set[int]] = [set() for _ in range(n_blocks)]
-    for s in range(n):
-        partition[block_of[s]].add(s)
-    dead_block = block_of[dead]
-
-    # Renumber blocks canonically by BFS from the start block so equal
-    # automata get identical encodings.
-    start_block = block_of[dfa.start]
-    renum: dict[int, int] = {start_block: 0}
-    order = [start_block]
-    reps: dict[int, int] = {}
-    for idx, blk in enumerate(partition):
-        live = [s for s in blk if s != dead]
-        if live:
-            reps[idx] = live[0]
-    i = 0
-    while i < len(order):
-        blk_id = order[i]
-        rep = reps[blk_id]
-        for label in labels:
-            t = step(rep, label)
-            tb = block_of[t]
-            if tb == dead_block:
-                continue
-            if tb not in renum:
-                renum[tb] = len(renum)
-                order.append(tb)
-        i += 1
-
-    trans: dict[tuple[int, str], int] = {}
-    for blk_id, new_id in renum.items():
-        rep = reps[blk_id]
-        for label in labels:
-            t = step(rep, label)
-            tb = block_of[t]
-            if tb != dead_block and tb in renum:
-                trans[(new_id, label)] = renum[tb]
-    finals_min = frozenset(
-        renum[block_of[s]] for s in dfa.finals if block_of[s] in renum
-    )
-    return DFA(
-        n_states=len(renum),
-        start=0,
-        finals=finals_min,
-        trans=trans,
-        accepts_empty=dfa.accepts_empty,
-    )
+    return _reverse(_reverse(dfa))
 
 
 def compile_regex(node: Regex) -> DFA:

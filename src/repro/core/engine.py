@@ -69,10 +69,11 @@ class DeltaEngine:
     dfa:
         the (minimal) query automaton.
     window:
-        |W|, the window length in time units.
+        |W|, the window length in time units; at least 1.
     slide:
         β, the slide interval; expiry runs when the stream time crosses a
-        multiple of β (lazy expiration, eager evaluation).
+        multiple of β (lazy expiration, eager evaluation). At least 1: a
+        smaller window or slide raises ``ValueError``.
     on_result:
         optional callback ``(ts, x, y, op)`` invoked for every appended
         (``op='+'``) or invalidated (``op='-'``) result.
@@ -87,9 +88,11 @@ class DeltaEngine:
         slide: int = 1,
         on_result: Callable[[int, str, str, str], None] | None = None,
     ):
+        if window < 1 or slide < 1:
+            raise ValueError(f"window and slide must be at least 1, got {window} and {slide}")
         self.dfa = dfa
         self.window = window
-        self.slide = max(1, slide)
+        self.slide = slide
         self.graph = WindowGraph(window)
         # The window's product graph: succ[(u, s)] = {(v, t): ts} and its
         # inverse pred[(v, t)] = {(u, s): ts} for every window edge u→v:label
@@ -124,7 +127,7 @@ class DeltaEngine:
             self.expire(boundary)
         u, v, label = sgt.src, sgt.dst, sgt.label
         if sgt.op == "-":
-            self._delete(u, v, label, tau)
+            self._delete(u, v, label)
             return set()
         if label not in self.dfa.alphabet:
             return set()  # tuples whose label is not in Σ_Q are discarded (§5.2)
@@ -208,12 +211,14 @@ class DeltaEngine:
         reconnects what it can and re-arms the tree at its exact floor; a
         tree left with only its root is dropped. Keys that lost every node
         are gone for good; with ``invalidate=True`` (the explicit-deletion
-        path) the pairs of their final-state members are reported as
-        negative results when no longer derivable.
+        path, run at the last slide boundary) the pairs of their final-state
+        members are reported as negative results when no longer derivable,
+        and the pass's events carry the deletion tuple's ts.
         """
         for u, v, label in self.graph.expire(tau):
             self._sync_product(u, v, label)
         lo = tau - self.window
+        stamp = self._tau if invalidate else tau
         finals = self.dfa.finals
         states = range(self.dfa.n_states)
         invalidated: set[tuple[str, str]] = set()
@@ -228,7 +233,7 @@ class DeltaEngine:
             if tree is None or tree.floor > lo:
                 continue  # stale entry
             reconnected: set[tuple[str, str]] = set()
-            pruned = self._expire_tree(tree, lo, invalidate, reconnected)
+            pruned = self._expire_tree(tree, lo, reconnected)
             if pruned:
                 # Maintain the reverse index and collect invalidations.
                 nodes = tree.nodes
@@ -244,7 +249,7 @@ class DeltaEngine:
                         self._untrack(v, x)
                 # Reconnection may discover pairs not previously reported.
                 if reconnected:
-                    self._report(reconnected, tau)
+                    self._report(reconnected, stamp)
                 # Garbage-collect trees reduced to a bare root.
                 if tree.size == 1:
                     del self.trees[x]
@@ -258,7 +263,7 @@ class DeltaEngine:
             if (x, v) in self.results and not self._derivable(x, v):
                 del self.results[(x, v)]
                 if self.on_result is not None:
-                    self.on_result(tau, x, v, "-")
+                    self.on_result(stamp, x, v, "-")
 
     def _sync_product(self, u: str, v: str, label: str) -> list[tuple[Key, Key]]:
         """Bring ``succ`` and ``pred`` in line with the window after
@@ -317,14 +322,16 @@ class DeltaEngine:
     # Algorithm Delete (§3.2)
     # ------------------------------------------------------------------
 
-    def _delete(self, u: str, v: str, label: str, tau: int) -> None:
+    def _delete(self, u: str, v: str, label: str) -> None:
         """Process a negative tuple: mark affected subtrees expired, re-expire.
 
         A deleted edge matters only where it is a *tree edge* (Definition
         13). The subclass marks the subtree under each such edge with
         ``ts = −∞``, found by :func:`below_tops`; the tree's floor drops to
         −∞, so the regular expiry machinery visits it and reconnects or
-        drops the marked nodes.
+        drops the marked nodes. That pass runs at the last slide boundary,
+        as lazy expiry does: the window graph does not expire early, and
+        only the trees Delete marked are due.
         """
         if not self.graph.delete(u, v, label):
             return
@@ -337,4 +344,4 @@ class DeltaEngine:
                 heappush(self._floors, (NEG_INF, x))
                 touched = True
         if touched:
-            self.expire(tau, invalidate=True)
+            self.expire(self._last_boundary, invalidate=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dfa import DFA, compile_regex
-from .regex import Regex, parse
+from .regex import parse
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,7 @@ class Query:
 
     name: str  # e.g. "Q3"
     text: str  # parseable syntax, e.g. "a b* c*"
-    regex: Regex
     dfa: DFA
-
-    @property
-    def labels(self) -> frozenset[str]:
-        return self.regex.labels()
 
     @property
     def k(self) -> int:
@@ -111,5 +106,4 @@ def workload(dataset: str) -> list[Query]:
 
 def query_from_text(text: str, name: str = "Q") -> Query:
     """Compile an ad-hoc RPQ from its textual form (used by gMark workloads)."""
-    regex = parse(text)
-    return Query(name=name, text=text, regex=regex, dfa=compile_regex(regex))
+    return Query(name=name, text=text, dfa=compile_regex(parse(text)))

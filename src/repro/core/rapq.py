@@ -210,7 +210,7 @@ class RAPQEngine(DeltaEngine):
     # ------------------------------------------------------------------
 
     def _expire_tree(
-        self, tree: SpanningTree, lo: float, invalidate: bool, results: set[tuple[str, str]]
+        self, tree: SpanningTree, lo: float, results: set[tuple[str, str]]
     ) -> list[Key]:
         """The paper's **ExpiryRAPQ** on one tree; returns the pruned keys.
 

@@ -26,35 +26,6 @@ from dataclasses import dataclass
 class Regex:
     """Base class for regex AST nodes; nodes are immutable and hashable."""
 
-    def __or__(self, other: "Regex") -> "Regex":
-        return Alt(self, other)
-
-    def __mul__(self, other: "Regex") -> "Regex":
-        return Concat(self, other)
-
-    def star(self) -> "Regex":
-        return Star(self)
-
-    def plus(self) -> "Regex":
-        return Plus(self)
-
-    def opt(self) -> "Regex":
-        return Opt(self)
-
-    def labels(self) -> frozenset[str]:
-        """The set of alphabet symbols appearing in this expression."""
-        out: set[str] = set()
-        stack: list[Regex] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Sym):
-                out.add(node.label)
-            elif isinstance(node, (Concat, Alt)):
-                stack.extend((node.left, node.right))
-            elif isinstance(node, (Star, Plus, Opt)):
-                stack.append(node.inner)
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class Epsilon(Regex):
@@ -123,16 +94,6 @@ def concat_all(*parts: Regex) -> Regex:
     out = parts[-1]
     for p in reversed(parts[:-1]):
         out = Concat(p, out)
-    return out
-
-
-def alt_all(*parts: Regex) -> Regex:
-    """Right-fold alternation of one or more expressions."""
-    if not parts:
-        raise ValueError("alternation of zero expressions")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Alt(p, out)
     return out
 
 

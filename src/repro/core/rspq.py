@@ -299,19 +299,21 @@ class RSPQEngine(DeltaEngine):
     # ------------------------------------------------------------------
 
     def _expire_tree(
-        self, tree: RSPQTree, lo: float, invalidate: bool, results: set[tuple[str, str]]
+        self, tree: RSPQTree, lo: float, results: set[tuple[str, str]]
     ) -> set[Key]:
         """**ExpiryRSPQ** on one tree; returns the keys of pruned occurrences.
 
         Detaches every occurrence with ``ts ≤ lo``, which includes each
         one's whole subtree (child ts ≤ parent ts, and Delete marks whole
         subtrees −∞), then reconnects the marked keys that lost all their
-        occurrences. On the deletion path (``invalidate``) it first
-        re-extends each surviving parent of a pruned occurrence over the
-        product edge that still leads there (see the module docstring).
+        occurrences. On the deletion path (Delete set the tree's floor to
+        −∞) it first re-extends each surviving parent of a pruned
+        occurrence over the product edge that still leads there (see the
+        module docstring).
         The scan also re-arms the tree at its exact floor; occurrences that
         reconnection adds lower it through ``add_child``.
         """
+        deleted = tree.floor == NEG_INF
         expired = []
         floor = INF
         for occs in tree.nodes.values():
@@ -327,7 +329,7 @@ class RSPQEngine(DeltaEngine):
         pruned = {n.key for n in expired}
         was_marked = pruned & tree.marked
         # Pruned occurrences whose parent survives: the tops of Delete's marks.
-        cut = [(n.parent, n.key) for n in expired if n.parent.ts > lo] if invalidate else ()
+        cut = [(n.parent, n.key) for n in expired if n.parent.ts > lo] if deleted else ()
         for n in expired:
             tree.detach(n)
         tree.marked -= {k for k in pruned if k not in tree.nodes}

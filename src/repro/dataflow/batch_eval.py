@@ -9,8 +9,9 @@ which is exactly what :func:`batch_rapq` per snapshot does (see
 the Fig. 11 experiment).
 
 The iteration joins the frontier with the product-edge relation until no new
-``(x, v, s)`` fact appears. ``localCheckpoint`` truncates lineage each round
-so plans stay bounded regardless of the product graph's diameter.
+``(x, v, s)`` fact appears, with one emptiness check per round.
+``localCheckpoint`` truncates lineage each round so plans stay bounded
+regardless of the product graph's diameter.
 """
 from __future__ import annotations
 
@@ -46,8 +47,6 @@ def batch_rapq(edges: DataFrame, dfa: DFA) -> DataFrame:
     )
     frontier = reach
     for _ in range(MAX_ROUNDS):
-        if frontier.isEmpty():
-            break
         grown = (
             frontier.join(
                 pe,
@@ -60,7 +59,8 @@ def batch_rapq(edges: DataFrame, dfa: DFA) -> DataFrame:
             )
             .distinct()
         )
-        frontier = grown.exceptAll(reach).distinct().localCheckpoint(eager=True)
+        # grown is distinct, so what it adds to reach is too.
+        frontier = grown.exceptAll(reach).localCheckpoint(eager=True)
         if frontier.isEmpty():
             break
         reach = reach.union(frontier).localCheckpoint(eager=True)

@@ -1,6 +1,7 @@
 """NFA/DFA construction, minimization, and membership cross-checks."""
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from repro.core.dfa import compile_regex, minimize, nfa_to_dfa
 from repro.core.nfa import thompson
 from repro.core.queries import TEMPLATES, make_query, workload
 from repro.core.regex import parse, to_python_re
+from repro.streams.gmark import gmark_workload
 
 SYMS = {"a": "a", "b": "b", "c": "c"}
 
@@ -103,6 +105,38 @@ def test_accepts_empty_flag():
     assert compile_regex(parse("a?")).accepts_empty
     assert not compile_regex(parse("a+")).accepts_empty
     assert not compile_regex(parse("a b*")).accepts_empty
+
+
+def test_compiled_workload_dfas_are_minimal_and_canonical():
+    """Every Table 2 and gMark DFA is trim, no two of its states have equal
+    suffix languages, and its states are numbered in BFS order from the
+    start over the sorted labels; Table 2's k matches ``results/table2.txt``."""
+    queries = [q for ds in ("so", "ldbc", "yago") for q in workload(ds)] + gmark_workload()
+    for q in queries:
+        dfa = q.dfa
+        labels = sorted(dfa.alphabet)
+        order = [dfa.start]
+        for s in order:
+            for label in labels:
+                t = dfa.delta(s, label)
+                if t is not None and t not in order:
+                    order.append(t)
+        assert order == list(range(dfa.n_states)), q.text
+        coreachable = set(dfa.finals)
+        while True:
+            more = {s for (s, _), t in dfa.trans.items() if t in coreachable} - coreachable
+            if not more:
+                break
+            coreachable |= more
+        assert coreachable == set(range(dfa.n_states)), q.text
+        for s, t in itertools.combinations(range(dfa.n_states), 2):
+            assert not (dfa.contains(s, t) and dfa.contains(t, s)), (q.text, s, t)
+    table = Path(__file__).resolve().parents[1] / "results" / "table2.txt"
+    rows = {line.split()[0]: line.split()[-3:] for line in table.read_text().splitlines()
+            if line.startswith("Q")}
+    for col, ds in enumerate(("so", "ldbc", "yago")):
+        ks = {q.name: str(q.k) for q in workload(ds)}
+        assert {name: row[col] for name, row in rows.items() if row[col] != "-"} == ks
 
 
 @st.composite

@@ -46,7 +46,7 @@ class TestSoStream:
         """Every Table 2 query on SO bindings matches some stream edges."""
         labels = label_set(so_stream(2000))
         for q in workload("so"):
-            assert q.labels <= labels
+            assert q.dfa.alphabet <= labels
 
 
 class TestLdbcStream:

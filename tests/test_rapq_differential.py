@@ -510,12 +510,12 @@ def test_expiry_reconnects_only_deletion_marks(query, slide, seed):
         check_no_boundary_reconnection(engine, tau - engine.window)
         original_expire(tau, invalidate)
 
-    def expire_tree(tree, lo, invalidate, results):
+    def expire_tree(tree, lo, results):
         marked.clear()
         marked.update(k for k, n in tree.nodes.items() if n.ts == NEG_INF)
         reconnecting.append(True)
         try:
-            return original_expire_tree(tree, lo, invalidate, results)
+            return original_expire_tree(tree, lo, results)
         finally:
             reconnecting.pop()
 

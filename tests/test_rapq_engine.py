@@ -4,6 +4,7 @@ import pytest
 from repro.core.dfa import compile_regex
 from repro.core.rapq import RAPQEngine
 from repro.core.regex import parse
+from repro.core.rspq import RSPQEngine
 from repro.rpq_oracle import Sgt, rapq_pairs
 
 
@@ -285,6 +286,23 @@ class TestExplicitDeletions:
         assert (3, "x", "x", "-") in events
 
 
+    @pytest.mark.parametrize("engine_type", [RAPQEngine, RSPQEngine])
+    def test_delete_under_lazy_expiry_stays_inside_its_slide(self, engine_type):
+        """β = 5: a deletion at ts 12 runs its expiry pass at the boundary
+        at 10, so x→y (ts 1) stays in the window until the boundary at 15,
+        and only the deleted pair is invalidated."""
+        events = []
+        e = engine_type(compile_regex(parse("a")), window=10, slide=5,
+                        on_result=lambda *ev: events.append(ev))
+        for t in [Sgt(1, "x", "y", "a"), Sgt(10, "p", "q", "a"), Sgt(12, "p", "q", "a", "-")]:
+            e.process(t)
+        assert events == [(1, "x", "y", "+"), (10, "p", "q", "+"), (12, "p", "q", "-")]
+        assert ("x", "y", "a") in e.graph.edges
+        assert e.derivable_pairs() == {("x", "y")}
+        e.process(Sgt(15, "u", "v", "b"))  # boundary: lo = 5
+        assert e.graph.n_edges == 0 and e.derivable_pairs() == set()
+
+
 class TestMetrics:
     def test_counters_grow(self):
         e = engine_for("a*")
@@ -330,3 +348,9 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="unknown op"):
             e.process(Sgt(1, "x", "y", "a", op))
         assert e.n_trees == 0 and e.graph.n_edges == 0
+
+    @pytest.mark.parametrize("window,slide", [(0, 1), (-5, 1), (10, 0), (10, -1)])
+    @pytest.mark.parametrize("engine_type", [RAPQEngine, RSPQEngine])
+    def test_window_and_slide_below_one_rejected(self, engine_type, window, slide):
+        with pytest.raises(ValueError, match="at least 1"):
+            engine_type(compile_regex(parse("a")), window=window, slide=slide)

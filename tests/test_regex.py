@@ -10,7 +10,6 @@ from repro.core.regex import (
     Plus,
     Star,
     Sym,
-    alt_all,
     concat_all,
     parse,
     to_python_re,
@@ -74,25 +73,11 @@ class TestParse:
 
 
 class TestHelpers:
-    def test_labels(self):
-        assert parse("(a|b) c* a").labels() == frozenset({"a", "b", "c"})
-
     def test_concat_all_empty(self):
         assert concat_all() == Epsilon()
 
     def test_concat_all_single(self):
         assert concat_all(Sym("a")) == Sym("a")
-
-    def test_alt_all_empty_raises(self):
-        with pytest.raises(ValueError):
-            alt_all()
-
-    def test_operator_sugar(self):
-        assert Sym("a") | Sym("b") == Alt(Sym("a"), Sym("b"))
-        assert Sym("a") * Sym("b") == Concat(Sym("a"), Sym("b"))
-        assert Sym("a").star() == Star(Sym("a"))
-        assert Sym("a").plus() == Plus(Sym("a"))
-        assert Sym("a").opt() == Opt(Sym("a"))
 
     def test_to_python_re(self):
         import re
