@@ -162,17 +162,19 @@ class DeltaEngine:
         return set(self.results)
 
     def derivable_pairs(self) -> set[tuple[str, str]]:
-        """Pairs currently witnessed by the index (final-state nodes).
+        """Pairs currently witnessed by the index: each tree's final-state
+        keys other than its root key, as RAPQ's ``_derivable`` reads them
+        (RSPQ's override also drops the other keys at the root vertex).
 
         After ``expire(τ)`` this equals the batch result on ``G_{W,τ}`` —
         the invariant the differential tests check.
         """
-        finals = self.dfa.finals
+        finals, start = self.dfa.finals, self.dfa.start
         return {
             (x, v)
             for x, tree in self.trees.items()
             for v, s in tree.nodes
-            if s in finals and self._derivable(x, v)
+            if s in finals and (s != start or v != x)
         }
 
     @property

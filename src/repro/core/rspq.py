@@ -344,6 +344,10 @@ class RSPQEngine(DeltaEngine):
                 self._reexplore(tree, key, results)
         return pruned
 
+    def derivable_pairs(self) -> set[tuple[str, str]]:
+        """The base's pairs without the root vertex (see :meth:`_derivable`)."""
+        return {(x, v) for x, v in super().derivable_pairs() if x != v}
+
     def _derivable(self, x: str, v: str) -> bool:
         """Is ``(x, v)`` witnessed by a final-state occurrence at ``v ≠ x``?
 

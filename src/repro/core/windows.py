@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 Edge = tuple[str, str, str]  # (src, dst, label)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Sgt:
     """A streaming graph tuple (Definition 2): ``(τ, (u, v), label, op)``."""
 

@@ -13,6 +13,13 @@ is handed to ``IncrementalRPQ.process_batch`` via ``foreachBatch``, which
 sorts the batch's rows by ``ts`` on the driver and advances the sharded
 Δ-tree state; the ``(x, y, ts)`` rows it returns are appended to a
 driver-side sink list.
+
+Every trigger writes three write-ahead logs: the offset log, the commit log
+and the file source's log. :func:`start_streaming_rpq` has them written
+through Hadoop's ``FileSystem`` API rather than Spark's default for local
+paths, ``FileContext``, which without the native Hadoop library starts a
+shell subprocess for several metadata calls of each log write (DESIGN.md,
+"Checkpoint logs").
 """
 from __future__ import annotations
 
@@ -26,6 +33,12 @@ from pyspark.sql import DataFrame, SparkSession
 from ..core.dfa import DFA
 from .incremental import IncrementalRPQ
 from .product_graph import SGT_SCHEMA
+
+CHECKPOINT_MANAGER_KEY = "spark.sql.streaming.checkpointFileManagerClass"
+FS_CHECKPOINT_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing."
+    "FileSystemBasedCheckpointFileManager"
+)
 
 
 @dataclass
@@ -58,7 +71,15 @@ def start_streaming_rpq(spark: SparkSession, input_dir: str, dfa: DFA, window: i
     Each micro-batch is one input file. Returns ``(query, engine, sink)``
     with a fresh :class:`ResultSink`; stop with ``query.stop()`` or drain
     with ``query.processAllAvailable()`` in tests.
+
+    Sets the session's checkpoint file manager to the ``FileSystem``-based
+    one unless the caller has set that key. Its atomic create is an
+    existence check and a rename, which cannot detect a second writer; the
+    query names no checkpoint location, so Spark gives it a directory of its
+    own and there is none.
     """
+    if spark.conf.get(CHECKPOINT_MANAGER_KEY, None) is None:
+        spark.conf.set(CHECKPOINT_MANAGER_KEY, FS_CHECKPOINT_MANAGER)
     sink = ResultSink()
     engine = IncrementalRPQ(spark, dfa, window)
     source = spark.readStream.schema(SGT_SCHEMA).option("maxFilesPerTrigger", 1).json(input_dir)

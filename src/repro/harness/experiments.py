@@ -92,7 +92,7 @@ def table1_complexity(scale: float = 1.0) -> list[dict]:
             }
         )
     # Deletion path (O(n²·k) bound).
-    del_stream = with_deletions(stream[: n_edges // 2], 0.05)
+    del_stream = with_deletions(stream, 0.05)
     m = _rapq_run(q, del_stream, window=100, slide=10)
     rows.append(
         {

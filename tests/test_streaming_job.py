@@ -3,7 +3,13 @@ import pytest
 
 from repro.core.dfa import compile_regex
 from repro.core.regex import parse
-from repro.dataflow.streaming_job import run_stream_to_completion, write_sgt_file
+from repro.dataflow.streaming_job import (
+    CHECKPOINT_MANAGER_KEY,
+    FS_CHECKPOINT_MANAGER,
+    run_stream_to_completion,
+    start_streaming_rpq,
+    write_sgt_file,
+)
 from repro.rpq_oracle import Sgt, rapq_pairs, snapshot_edges
 
 
@@ -60,3 +66,39 @@ def test_write_sgt_file_roundtrip(spark, tmp_path):
     df = spark.read.json(path)
     assert df.count() == 3
     assert {r["src"] for r in df.collect()} == {"x", "y", "z"}
+
+
+def start_and_drain(spark, tmp_path):
+    """Start a persistent RPQ over one file, drain it and stop it."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_sgt_file(str(in_dir / "part-00000.json"), STREAM[:2])
+    dfa = compile_regex(parse("a b*"))
+    query, _, sink = start_streaming_rpq(spark, str(in_dir), dfa, window=10)
+    try:
+        query.processAllAvailable()
+    finally:
+        query.stop()
+    return sink.pairs()
+
+
+def test_checkpoint_manager_defaults_to_filesystem(spark, tmp_path):
+    spark.conf.unset(CHECKPOINT_MANAGER_KEY)
+    try:
+        assert start_and_drain(spark, tmp_path) == {("x", "y"), ("x", "z")}
+        assert spark.conf.get(CHECKPOINT_MANAGER_KEY) == FS_CHECKPOINT_MANAGER
+    finally:
+        spark.conf.unset(CHECKPOINT_MANAGER_KEY)
+
+
+def test_checkpoint_manager_keeps_the_callers_choice(spark, tmp_path):
+    mine = (
+        "org.apache.spark.sql.execution.streaming.checkpointing."
+        "FileContextBasedCheckpointFileManager"
+    )
+    spark.conf.set(CHECKPOINT_MANAGER_KEY, mine)
+    try:
+        assert start_and_drain(spark, tmp_path) == {("x", "y"), ("x", "z")}
+        assert spark.conf.get(CHECKPOINT_MANAGER_KEY) == mine
+    finally:
+        spark.conf.unset(CHECKPOINT_MANAGER_KEY)

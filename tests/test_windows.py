@@ -1,5 +1,7 @@
-"""WindowGraph (snapshot graph G_{W,τ}) unit tests."""
-from repro.core.windows import WindowGraph
+"""WindowGraph (snapshot graph G_{W,τ}) and Sgt unit tests."""
+import pickle
+
+from repro.core.windows import Sgt, WindowGraph
 
 
 def make_graph(window=10):
@@ -80,3 +82,14 @@ class TestDelete:
         g.insert("a", "b", "l2", 1)
         g.delete("a", "b", "l1")
         assert g.edge_set() == {("a", "b", "l2")}
+
+
+class TestSgt:
+    def test_pickle_round_trip(self):
+        for t in (Sgt(3, "u", "v", "a"), Sgt(4, "u", "v", "a", "-")):
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and back.op == t.op
+            assert hash(back) == hash(t)
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(Sgt(1, "u", "v", "a"), "__dict__")
