@@ -20,7 +20,7 @@ from repro.harness.runner import fmt_table  # noqa: E402
 
 
 def _fig7_9(scale: float) -> list[list[dict]]:
-    rows = ex.fig7_9_gmark(n_queries=int(100 * min(1.0, scale)) or 10, scale=scale)
+    rows = ex.fig7_9_gmark(scale=scale)
     return [ex.gmark_summary(rows), rows]
 
 

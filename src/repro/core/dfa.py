@@ -44,7 +44,11 @@ class DFA:
     start: int
     finals: frozenset[int]
     trans: dict[tuple[int, str], int]
-    accepts_empty: bool  # ε ∈ L(R); streaming engines ignore empty paths
+
+    @property
+    def accepts_empty(self) -> bool:
+        """ε ∈ L(R); streaming engines ignore empty paths."""
+        return self.start in self.finals
 
     @cached_property
     def alphabet(self) -> frozenset[str]:
@@ -169,7 +173,6 @@ def _determinize(
         start=0,
         finals=frozenset(i for i, subset in enumerate(order) if is_final(subset)),
         trans=trans,
-        accepts_empty=is_final(start),
     )
 
 

@@ -12,12 +12,13 @@ driver and the Delete driver.
 A subclass sets ``tree_type``: a tree with ``root``, ``nodes`` (its nodes,
 keyed by product pair ``(v, s)``: §5.1.1's node-lookup index, probed per
 state through the DFA's ``by_label``), ``floor`` (a lower bound on its
-nodes' ts) and ``size``. It provides the per-tree step
+nodes' ts) and ``size``. It sets ``cycle_results``, the one place where the
+two semantics' result rules differ (:meth:`DeltaEngine.derivable_pairs`).
+It provides the per-tree step
 of a new edge, ``_process_edge(tree, edges, tau, results)`` (Insert, or
 Extend/Unmark), the per-tree "prune and reconnect" step ``_expire_tree``,
-which also sets the tree's ``floor`` to the exact least ts it leaves,
-Delete's tree-edge marking ``_mark_deleted`` and the result predicate
-``_derivable``.
+which also sets the tree's ``floor`` to the exact least ts it leaves, and
+Delete's tree-edge marking ``_mark_deleted``.
 
 ``process`` builds a new window edge's product edges ``((u, s), (v, t))``
 once per tuple (``_sync_product`` returns them, in ``DFA.by_label`` order)
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, Iterable
+from typing import Callable
 
 from .dfa import DFA
 from .windows import Sgt, WindowGraph, check_tuple
@@ -80,6 +81,9 @@ class DeltaEngine:
     """
 
     tree_type: type
+    # Under arbitrary paths a final key at the root vertex, other than the
+    # root key, witnesses (x, x); under simple paths no key there does.
+    cycle_results: bool
 
     def __init__(
         self,
@@ -155,27 +159,31 @@ class DeltaEngine:
         self._report(results, tau)
         return results
 
-    def run(self, stream: Iterable[Sgt]) -> set[tuple[str, str]]:
-        """Convenience: process a whole stream, returning the result set."""
-        for sgt in stream:
-            self.process(sgt)
-        return set(self.results)
-
     def derivable_pairs(self) -> set[tuple[str, str]]:
-        """Pairs currently witnessed by the index: each tree's final-state
-        keys other than its root key, as RAPQ's ``_derivable`` reads them
-        (RSPQ's override also drops the other keys at the root vertex).
+        """Pairs currently witnessed by the index: a final-state key
+        ``(v, s)`` of ``T_x`` witnesses ``(x, v)``. At the root vertex only
+        a key other than the root key does, and only with ``cycle_results``:
+        results come from paths of length ≥ 1, and a cycle back to
+        ``(x, s0)`` re-uses the root node.
 
         After ``expire(τ)`` this equals the batch result on ``G_{W,τ}`` —
         the invariant the differential tests check.
         """
-        finals, start = self.dfa.finals, self.dfa.start
+        finals, start, cycles = self.dfa.finals, self.dfa.start, self.cycle_results
         return {
             (x, v)
             for x, tree in self.trees.items()
             for v, s in tree.nodes
-            if s in finals and (s != start or v != x)
+            if s in finals and (v != x or cycles and s != start)
         }
+
+    def _witnessed(self, nodes: dict, x: str, v: str) -> bool:
+        """Is ``(x, v)`` witnessed by a key of ``nodes``, ``T_x``'s node map,
+        under the rule of :meth:`derivable_pairs`?"""
+        start, cycles = self.dfa.start, self.cycle_results
+        return any(
+            (v, s) in nodes and (v != x or cycles and s != start) for s in self.dfa.finals
+        )
 
     @property
     def n_trees(self) -> int:
@@ -213,9 +221,10 @@ class DeltaEngine:
         reconnects what it can and re-arms the tree at its exact floor; a
         tree left with only its root is dropped. Keys that lost every node
         are gone for good; with ``invalidate=True`` (the explicit-deletion
-        path, run at the last slide boundary) the pairs of their final-state
-        members are reported as negative results when no longer derivable,
-        and the pass's events carry the deletion tuple's ts.
+        path, run at the last slide boundary) the pair of each lost
+        final-state key is reported as a negative result as soon as its
+        tree no longer witnesses it (:meth:`_witnessed`), and the pass's
+        events carry the deletion tuple's ts.
         """
         for u, v, label in self.graph.expire(tau):
             self._sync_product(u, v, label)
@@ -223,7 +232,7 @@ class DeltaEngine:
         stamp = self._tau if invalidate else tau
         finals = self.dfa.finals
         states = range(self.dfa.n_states)
-        invalidated: set[tuple[str, str]] = set()
+        results = self.results
         floors = self._floors
         due = []
         while floors and floors[0][0] <= lo:
@@ -237,21 +246,24 @@ class DeltaEngine:
             reconnected: set[tuple[str, str]] = set()
             pruned = self._expire_tree(tree, lo, reconnected)
             if pruned:
-                # Maintain the reverse index and collect invalidations.
+                # Reconnection may discover pairs not previously reported.
+                if reconnected:
+                    self._report(reconnected, stamp)
+                # Maintain the reverse index and report invalidations.
                 nodes = tree.nodes
                 for v, t in pruned:
                     if (v, t) in nodes:
                         continue  # reconnected
-                    if invalidate and t in finals:
-                        invalidated.add((x, v))
+                    if (invalidate and t in finals and (x, v) in results
+                            and not self._witnessed(nodes, x, v)):
+                        del results[(x, v)]
+                        if self.on_result is not None:
+                            self.on_result(stamp, x, v, "-")
                     for s in states:
                         if (v, s) in nodes:
                             break
                     else:
                         self._untrack(v, x)
-                # Reconnection may discover pairs not previously reported.
-                if reconnected:
-                    self._report(reconnected, stamp)
                 # Garbage-collect trees reduced to a bare root.
                 if tree.size == 1:
                     del self.trees[x]
@@ -261,11 +273,6 @@ class DeltaEngine:
             # it is next due when the window reaches its oldest node, not at
             # the next boundary.
             heappush(floors, (tree.floor, x))
-        for x, v in invalidated:
-            if (x, v) in self.results and not self._derivable(x, v):
-                del self.results[(x, v)]
-                if self.on_result is not None:
-                    self.on_result(stamp, x, v, "-")
 
     def _sync_product(self, u: str, v: str, label: str) -> list[tuple[Key, Key]]:
         """Bring ``succ`` and ``pred`` in line with the window after

@@ -100,6 +100,7 @@ class RAPQEngine(DeltaEngine):
     the :class:`~repro.core.engine.DeltaEngine` parameters."""
 
     tree_type = SpanningTree
+    cycle_results = True
 
     def __init__(
         self,
@@ -261,19 +262,6 @@ class RAPQEngine(DeltaEngine):
         if seeds:
             self._insert(tree, seeds, results)
         return candidates
-
-    def _derivable(self, x: str, v: str) -> bool:
-        """Is ``(x, v)`` witnessed by a final-state node other than the root?
-
-        The root itself is never a result: results come from paths of length
-        ≥ 1 (a cycle back to ``(x, s0)`` re-uses the root node, matching the
-        paper's Insert, which only reports newly created nodes).
-        """
-        tree = self.trees.get(x)
-        if tree is None:
-            return False
-        nodes = tree.nodes
-        return any((v, s) in nodes and (v, s) != tree.root_key for s in self.dfa.finals)
 
     # ------------------------------------------------------------------
     # Algorithm Delete (§3.2)

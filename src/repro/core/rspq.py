@@ -42,7 +42,11 @@ tests against the exhaustive simple-path oracle, see DESIGN.md):
 The per-tuple, expiry and Delete drivers are RAPQ's, shared through
 :class:`repro.core.engine.DeltaEngine`: the per-tuple step
 (:meth:`RSPQEngine._process_edge`) receives the new edge's product edges,
-built once per tuple, and keeps those whose source the tree holds.
+built once per tuple, and keeps those whose source the tree holds. So is the
+result rule: with ``cycle_results = False`` no key at the root vertex
+witnesses a pair, in ``derivable_pairs`` and in Delete's invalidation alike.
+Those self-pairs separate the two semantics' answers on queries with the
+containment property.
 Occurrence timestamps obey the same child ≤ parent order as RAPQ's nodes,
 so the same per-tree floors apply. As in RAPQ, each tree edge is stored
 once, as the occurrence's parent pointer: Delete finds the subtrees to mark
@@ -122,37 +126,17 @@ class RSPQTree:
         return sum(len(v) for v in self.nodes.values())
 
 
-class _PathCtx:
-    """Root-to-node path context: ordered states per vertex, O(1) updates."""
-
-    __slots__ = ("states_by_vertex",)
-
-    def __init__(self) -> None:
-        self.states_by_vertex: dict[str, list[int]] = {}
-
-    @classmethod
-    def from_node(cls, node: _PathNode) -> "_PathCtx":
-        chain = []
-        cur: _PathNode | None = node
-        while cur is not None:
-            chain.append(cur.key)
-            cur = cur.parent
-        ctx = cls()
-        for v, s in reversed(chain):
-            ctx.push(v, s)
-        return ctx
-
-    def push(self, v: str, s: int) -> None:
-        self.states_by_vertex.setdefault(v, []).append(s)
-
-    def pop(self, v: str) -> None:
-        states = self.states_by_vertex[v]
-        states.pop()
-        if not states:
-            del self.states_by_vertex[v]
-
-    def states(self, v: str) -> list[int]:
-        return self.states_by_vertex.get(v, [])
+def _path_states(node: _PathNode) -> dict[str, list[int]]:
+    """The root-to-``node`` path's states per vertex, in path order."""
+    chain = []
+    cur: _PathNode | None = node
+    while cur is not None:
+        chain.append(cur.key)
+        cur = cur.parent
+    ctx: dict[str, list[int]] = {}
+    for v, s in reversed(chain):
+        ctx.setdefault(v, []).append(s)
+    return ctx
 
 
 class RSPQEngine(DeltaEngine):
@@ -163,6 +147,7 @@ class RSPQEngine(DeltaEngine):
     every call after it."""
 
     tree_type = RSPQTree
+    cycle_results = False  # occurrences at the root vertex are never results (see _extend)
 
     def __init__(
         self,
@@ -218,7 +203,7 @@ class RSPQEngine(DeltaEngine):
         key: Key,
         edge_ts: float,
         results: set[tuple[str, str]],
-        ctx: _PathCtx | None = None,
+        ctx: dict[str, list[int]] | None = None,
     ) -> None:
         """Try to extend the prefix path ending at ``parent`` with ``key``.
 
@@ -233,9 +218,9 @@ class RSPQEngine(DeltaEngine):
                 f"tuple exceeded {self.budget} Extend calls (conflict blow-up)"
             )
         if ctx is None:
-            ctx = _PathCtx.from_node(parent)
+            ctx = _path_states(parent)
         v, t = key
-        prior_states = ctx.states(v)
+        prior_states = ctx.get(v)
         if prior_states:
             q = prior_states[0]  # FIRST(p[v])
             if not self.dfa.contains(q, t):
@@ -259,12 +244,12 @@ class RSPQEngine(DeltaEngine):
         # itself, and simple paths here have length ≥ 1.
         if t in self.dfa.finals and v != tree.root:
             results.add((tree.root, v))
-        ctx.push(v, t)
+        ctx.setdefault(v, []).append(t)
         try:
             for wkey, w_ts in self.succ.get(key, {}).items():
                 self._extend(tree, node, wkey, w_ts, results, ctx)
         finally:
-            ctx.pop(v)
+            ctx[v].pop()  # an emptied list is falsy, as a missing one is
 
     # ------------------------------------------------------------------
     # Algorithm Unmark
@@ -343,20 +328,6 @@ class RSPQEngine(DeltaEngine):
             if key not in tree.nodes:
                 self._reexplore(tree, key, results)
         return pruned
-
-    def derivable_pairs(self) -> set[tuple[str, str]]:
-        """The base's pairs without the root vertex (see :meth:`_derivable`)."""
-        return {(x, v) for x, v in super().derivable_pairs() if x != v}
-
-    def _derivable(self, x: str, v: str) -> bool:
-        """Is ``(x, v)`` witnessed by a final-state occurrence at ``v ≠ x``?
-
-        Occurrences at the root vertex are never results (see :meth:`_extend`).
-        """
-        tree = self.trees.get(x)
-        if tree is None or v == x:
-            return False
-        return any((v, s) in tree.nodes for s in self.dfa.finals)
 
     # ------------------------------------------------------------------
     # Explicit deletions (§3.2 applied to RSPQ)

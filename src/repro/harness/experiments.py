@@ -58,52 +58,30 @@ def table1_complexity(scale: float = 1.0) -> list[dict]:
     from ..core.queries import query_from_text
 
     n_edges = int(6000 * scale)
-    rows = []
     # Dense matching (3 of 8 labels, recursive) so the window content — and
     # hence n — actually grows with |W|; on a highly selective query the
     # per-tuple cost is dominated by fixed overhead and the trend vanishes.
     stream = gmark_stream(n_edges)
     q = query_from_text("(g0|g1|g2)*", name="star3")
-    for w in (25, 50, 100, 200):
-        m = _rapq_run(q, stream, window=w, slide=max(1, w // 10))
-        rows.append(
-            {
-                "sweep": "|W| (k fixed)",
-                "value": w,
-                "mean_us": m.mean_us,
-                "p99_us": m.p99_us,
-                "throughput": m.throughput,
-                "max_nodes": m.max_nodes,
-            }
-        )
+    runs = [("|W| (k fixed)", w, q, stream, w, max(1, w // 10)) for w in (25, 50, 100, 200)]
     # k sweep: label chains of length 2/4/8 at fixed |W|.
     for k_labels in (2, 4, 8):
         text = " ".join(f"g{i % 8}" for i in range(k_labels))
         q_k = query_from_text(text, name=f"chain{k_labels}")
-        m = _rapq_run(q_k, stream, window=100, slide=10)
-        rows.append(
-            {
-                "sweep": "k (|W| fixed)",
-                "value": q_k.k,
-                "mean_us": m.mean_us,
-                "p99_us": m.p99_us,
-                "throughput": m.throughput,
-                "max_nodes": m.max_nodes,
-            }
-        )
+        runs.append(("k (|W| fixed)", q_k.k, q_k, stream, 100, 10))
     # Deletion path (O(n²·k) bound).
-    del_stream = with_deletions(stream, 0.05)
-    m = _rapq_run(q, del_stream, window=100, slide=10)
-    rows.append(
-        {
-            "sweep": "5% deletions",
-            "value": 100,
+    runs.append(("5% deletions", 100, q, with_deletions(stream, 0.05), 100, 10))
+    rows = []
+    for sweep, value, query, tuples, window, slide in runs:
+        m = _rapq_run(query, tuples, window=window, slide=slide)
+        rows.append({
+            "sweep": sweep,
+            "value": value,
             "mean_us": m.mean_us,
             "p99_us": m.p99_us,
             "throughput": m.throughput,
             "max_nodes": m.max_nodes,
-        }
-    )
+        })
     return rows
 
 
@@ -229,11 +207,15 @@ def fig6_scalability(scale: float = 1.0) -> list[dict]:
 # Figures 7-9 (as tables) — gMark query-size sweep
 # ----------------------------------------------------------------------
 
-def fig7_9_gmark(n_queries: int = 40, scale: float = 1.0) -> list[dict]:
-    """DFA size vs query size; throughput vs k; throughput vs index size."""
+def fig7_9_gmark(scale: float = 1.0) -> list[dict]:
+    """DFA size vs query size; throughput vs k; throughput vs index size.
+
+    Runs the 100-query workload at ``scale`` ≥ 1 and a ``scale`` share of it
+    below (at least 10 queries).
+    """
     stream = gmark_stream(int(4000 * scale))
     rows = []
-    for q in gmark_workload(n_queries):
+    for q in gmark_workload(int(100 * min(1.0, scale)) or 10):
         m = _rapq_run(q, stream, window=100, slide=10)
         rows.append(
             {

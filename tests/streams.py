@@ -1,5 +1,5 @@
-"""Random small streams, a brute-force timestamp oracle and the product-graph
-index check shared by the suites."""
+"""Random small streams, a brute-force timestamp oracle, and the
+product-graph index and result-event checks shared by the suites."""
 import math
 import random
 
@@ -76,3 +76,27 @@ def check_product_graph(engine):
     assert engine.pred == pred, "pred is not the inverse of succ"
     for name, index in (("succ", engine.succ), ("pred", engine.pred)):
         assert all(index.values()), f"{name} keeps an empty entry"
+
+
+def process_checking_events(engine, sgt, events):
+    """``engine.process(sgt)``, then assert that the result events it emitted
+    agree with the index.
+
+    ``events`` is the list the engine's ``on_result`` appends to. After the
+    tuple every derivable pair is a result, no pair retracted with ``-`` is
+    still derivable, and only a deletion retracts. A deletion that crosses
+    no slide boundary retracts exactly the pairs it made underivable.
+    """
+    before, seen = engine.derivable_pairs(), len(events)
+    crosses = (sgt.ts // engine.slide) * engine.slide > engine._last_boundary
+    engine.process(sgt)
+    after = engine.derivable_pairs()
+    assert after <= set(engine.results), f"{sgt}: derivable pairs not reported"
+    minus = {(x, y) for _, x, y, op in events[seen:] if op == "-"}
+    assert not minus & after, f"{sgt}: retracted pairs still derivable: {sorted(minus & after)}"
+    if sgt.op == "+":
+        assert not minus, f"{sgt}: an insertion retracted {sorted(minus)}"
+    elif not crosses:
+        assert minus == before - after, (
+            f"{sgt}: retracted {sorted(minus)}, lost {sorted(before - after)}"
+        )

@@ -22,7 +22,12 @@ from repro.rpq_oracle import (
     streaming_reference,
 )
 
-from .streams import best_timestamps, check_product_graph, random_stream
+from .streams import (
+    best_timestamps,
+    check_product_graph,
+    process_checking_events,
+    random_stream,
+)
 
 QUERIES = [
     "a*",
@@ -94,12 +99,17 @@ def check_index(engine):
 def replay_and_check(query_text, stream, window, every=5):
     """Replay ``stream`` with β = 1, probing every ``every``-th tuple and at the end.
 
-    Per-step replays (``every=1``) also run :func:`check_index` each time.
+    Per-step replays (``every=1``) also run :func:`check_index` and check the
+    result events (:func:`process_checking_events`) each time.
     """
     dfa = compile_regex(parse(query_text))
-    engine = RAPQEngine(dfa, window=window, slide=1)
+    events = []
+    engine = RAPQEngine(dfa, window=window, slide=1, on_result=lambda *e: events.append(e))
     for i, t in enumerate(stream):
-        engine.process(t)
+        if every == 1:
+            process_checking_events(engine, t, events)
+        else:
+            engine.process(t)
         if i % every == every - 1 or i == len(stream) - 1:
             if every == 1:
                 check_index(engine)
@@ -196,13 +206,15 @@ def test_with_explicit_deletions_per_step(query, seed):
 def test_lazy_expiry_per_step(slide, query, seed):
     """β > 1: after every tuple the index is well formed and derives exactly
     the pairs of its own window graph. That graph (query labels only) lies
-    between the eager snapshot and the one of the last boundary's window."""
+    between the eager snapshot and the one of the last boundary's window.
+    The result events agree with the index (:func:`process_checking_events`)."""
     window = 12
     dfa = compile_regex(parse(query))
     stream = random_stream(seed, n=60, delete_prob=0.15)
-    engine = RAPQEngine(dfa, window=window, slide=slide)
+    events = []
+    engine = RAPQEngine(dfa, window=window, slide=slide, on_result=lambda *e: events.append(e))
     for i, t in enumerate(stream):
-        engine.process(t)
+        process_checking_events(engine, t, events)
         check_index(engine)
         held = engine.graph.edge_set()
         lag = t.ts - (t.ts // slide) * slide

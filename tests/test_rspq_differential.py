@@ -27,7 +27,7 @@ from repro.rpq_oracle import (
 )
 from repro.streams.generators import dataset_stream, with_deletions
 
-from .streams import check_product_graph, random_stream
+from .streams import check_product_graph, process_checking_events, random_stream
 
 QUERIES = [
     "a*",
@@ -175,11 +175,14 @@ def replay_per_step(query_text, stream, window, slide=1):
     """Replay ``stream``; after every tuple the index is well formed and
     derives exactly the simple-path pairs of its own window graph. That graph
     (query labels only) lies between the eager snapshot and the one of the
-    last boundary's window; with β = 1 it is the snapshot."""
+    last boundary's window; with β = 1 it is the snapshot. The result events
+    agree with the index (:func:`process_checking_events`)."""
     dfa = compile_regex(parse(query_text))
-    engine = RSPQEngine(dfa, window=window, slide=slide, budget=2_000_000)
+    events = []
+    engine = RSPQEngine(dfa, window=window, slide=slide, budget=2_000_000,
+                        on_result=lambda *e: events.append(e))
     for i, t in enumerate(stream):
-        engine.process(t)
+        process_checking_events(engine, t, events)
         check_rspq_index(engine)
         held = engine.graph.edge_set()
         lag = t.ts - (t.ts // slide) * slide
